@@ -97,8 +97,9 @@ def load_and_resample(path, target_rate=DEFAULT_SAMPLE_RATE):
     """Decode a PCM WAV file, mix to mono and resample.
 
     Supports 8/16/24-bit integer and 32-bit float encodings, 1-2
-    channels. Stereo is averaged to mono; resampling is polyphase
-    windowed-sinc interpolation.
+    channels, scaled to [-1, 1] by the file's encoding. Stereo is
+    averaged to mono; resampling is polyphase windowed-sinc
+    interpolation.
     """
     try:
         rate, data = scipy.io.wavfile.read(path)
@@ -108,22 +109,25 @@ def load_and_resample(path, target_rate=DEFAULT_SAMPLE_RATE):
         raise ValueError(f"unreadable WAV file {path!r}: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"zero-length audio in {path!r}")
+    encoding = data.dtype
     if data.ndim == 2:
         if data.shape[1] > 2:
             raise ValueError(f"{path!r}: only mono/stereo supported")
+        # Mixing before scaling gives the bits of scaling first: the
+        # channel sum and the offset are exact, every scale a power of two.
         data = data.astype(np.float64).mean(axis=1)
 
-    if data.dtype == np.uint8:
+    if encoding == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype == np.int16:
+    elif encoding == np.int16:
         samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
+    elif encoding == np.int32:
         # 24-bit PCM is delivered left-justified in int32
         samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
+    elif encoding in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise ValueError(f"{path!r}: unsupported WAV encoding {data.dtype}")
+        raise ValueError(f"{path!r}: unsupported WAV encoding {encoding}")
 
     if target_rate != rate:
         ratio = Fraction(int(target_rate), int(rate))

@@ -87,6 +87,8 @@ def _read_labels_csv(path):
             raise InputError(f"{path}: expected header sample_id,label")
         labels = {}
         for row in reader:
+            if len(row) < 2:
+                raise InputError(f"{path}:{reader.line_num}: expected sample_id,label")
             labels[row[0]] = 1 if row[1] in ("1", "covid") else 0
     return labels
 

@@ -25,6 +25,9 @@ MODEL_DEFAULTS = {
     "knn": {"n_neighbors": 5},
     "logreg": {"l2_strength": 1.0},
 }
+# Size of the query-block x train x feature difference tensor of one
+# k-NN distance block; with its squared copy it stays within a 2 MiB L2.
+_KNN_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -181,13 +184,27 @@ def train_knn(train, n_neighbors=5):
     )
 
 
+def _nearest_neighbors(model, features, k):
+    """Indices of the k nearest training points of each query, nearest first.
+
+    Distances are computed a block of query rows at a time, so the
+    difference tensor stays near _KNN_BLOCK_BYTES; each row's distances
+    and their stable order do not depend on the block size.
+    """
+    X = model.scaler(np.asarray(features, dtype=np.float64))
+    T = model.train_features
+    rows = max(1, _KNN_BLOCK_BYTES // T.nbytes)
+    nearest = np.empty((X.shape[0], k), dtype=np.intp)
+    for start in range(0, X.shape[0], rows):
+        Xb = X[start : start + rows]
+        dists = np.linalg.norm(Xb[:, None, :] - T[None], axis=2)
+        nearest[start : start + rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def predict_knn(model, features):
     """Score = fraction of the k nearest training points labeled positive."""
-    X = model.scaler(np.asarray(features, dtype=np.float64))
-    dists = np.linalg.norm(
-        X[:, None, :] - model.train_features[None, :, :], axis=2
-    )
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, : model.n_neighbors]
+    nearest = _nearest_neighbors(model, features, model.n_neighbors)
     return model.train_labels[nearest].mean(axis=1)
 
 
@@ -267,23 +284,38 @@ def _fit_predict(model_name, params, train, test_features):
 
 
 def _grid_search(model_name, grid, train, seed):
-    """Inner stratified CV over the grid, selecting on mean AUC."""
+    """Inner stratified CV over the grid, selecting on mean AUC.
+
+    For k-NN one neighbour search per inner fold, at the largest k of
+    the grid, scores every k.
+    """
     plan = stratified_kfold(train.labels, INNER_FOLDS, seed=seed)
+    aucs = [[] for _ in grid]
+    for fold in range(INNER_FOLDS):
+        test_mask = plan.assignments == fold
+        inner_train = Dataset(
+            train.features[~test_mask],
+            train.labels[~test_mask],
+            [train.sample_ids[i] for i in np.flatnonzero(~test_mask)],
+        )
+        test_features = train.features[test_mask]
+        test_labels = train.labels[test_mask]
+        if model_name == "knn":
+            k_max = max(params["n_neighbors"] for params in grid)
+            model = train_knn(inner_train, n_neighbors=k_max)
+            neighbor_labels = model.train_labels[
+                _nearest_neighbors(model, test_features, k_max)
+            ]
+            for fold_aucs, params in zip(aucs, grid):
+                scores = neighbor_labels[:, : params["n_neighbors"]].mean(axis=1)
+                fold_aucs.append(rank_auc(test_labels, scores))
+        else:
+            for fold_aucs, params in zip(aucs, grid):
+                scores = _fit_predict(model_name, params, inner_train, test_features)
+                fold_aucs.append(rank_auc(test_labels, scores))
     best = None
-    for params in grid:
-        aucs = []
-        for fold in range(INNER_FOLDS):
-            test_mask = plan.assignments == fold
-            inner_train = Dataset(
-                train.features[~test_mask],
-                train.labels[~test_mask],
-                [train.sample_ids[i] for i in np.flatnonzero(~test_mask)],
-            )
-            scores = _fit_predict(
-                model_name, params, inner_train, train.features[test_mask]
-            )
-            aucs.append(rank_auc(train.labels[test_mask], scores))
-        mean_auc = float(np.mean(aucs))
+    for fold_aucs, params in zip(aucs, grid):
+        mean_auc = float(np.mean(fold_aucs))
         if best is None or mean_auc > best[0]:
             best = (mean_auc, params)
     return best[1]

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -84,6 +85,50 @@ class TestLoadAndResample:
         path.write_bytes(b"not a riff file at all")
         with pytest.raises(ValueError):
             load_and_resample(path)
+
+
+def write_pcm24(path, rate, data):
+    """24-bit PCM WAV of int samples in [-2**23, 2**23), shape (n,) or (n, 2)."""
+    data = np.asarray(data, dtype=np.int32)
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    frames = data.reshape(-1).astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3]
+    payload = frames.tobytes()
+    block = 3 * channels
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block, block, 24)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def _encoded(encoding, x):
+    """x in [-1, 1) as stored samples of the encoding."""
+    if encoding == "uint8":
+        return np.round(x * 127 + 128).astype(np.uint8)
+    if encoding == "int16":
+        return np.round(x * 32767).astype(np.int16)
+    if encoding == "int24":
+        return np.round(x * (2**23 - 1)).astype(np.int32)
+    return x.astype(np.float32)
+
+
+class TestStereoDecoding:
+    """Stereo clips are scaled by their encoding, like mono ones."""
+
+    @pytest.mark.parametrize("rate", [22050, 16000])
+    @pytest.mark.parametrize("encoding", ["uint8", "int16", "int24", "float32"])
+    def test_identical_channels_decode_to_mono_clip(self, tmp_path, encoding, rate):
+        x = np.random.default_rng(20).uniform(-0.9, 0.9, 3000)
+        mono = _encoded(encoding, x)
+        stereo = np.stack([mono, mono], axis=1)
+        write = write_pcm24 if encoding == "int24" else scipy.io.wavfile.write
+        write(tmp_path / "mono.wav", rate, mono)
+        write(tmp_path / "stereo.wav", rate, stereo)
+        want = load_and_resample(tmp_path / "mono.wav", target_rate=22050)
+        got = load_and_resample(tmp_path / "stereo.wav", target_rate=22050)
+        np.testing.assert_array_equal(got.samples, want.samples)
+        assert np.max(np.abs(got.samples)) <= 1.0
+        if rate == 22050:
+            np.testing.assert_allclose(got.samples, x, atol=2e-2)
 
 
 class TestStftPower:

@@ -86,6 +86,23 @@ class TestExtract:
         header = out.read_text().splitlines()[0]
         assert len(header.split(",")) == 195
 
+    @pytest.mark.parametrize(
+        "body, bad_line",
+        [("clip0,1\nclip1\n", 3), ("clip0,1\n\nclip1,0\n", 3)],
+        ids=["one_column", "blank_line"],
+    )
+    def test_short_labels_row_is_input_error(self, tmp_path, capsys, body, bad_line):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "clip0.wav", 300)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\n" + body)
+        out = tmp_path / "features.csv"
+        code = main(["extract", str(wav_dir), "--out", str(out), "--labels", str(labels)])
+        assert code == EXIT_INPUT
+        assert f"{labels}:{bad_line}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
