@@ -3,8 +3,12 @@
 Five spectral feature families (MFCC, mel spectrogram, chromagram,
 spectral contrast, tonal centroid) are computed per STFT frame and
 mean-aggregated over the clip into a fixed 193-dimensional vector.
+`extract_features` computes one power spectrogram per clip and feeds
+it to all five families; each public single-family function is that
+same STFT plus the same per-family helper.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,8 +158,8 @@ def _frame_signal(clip, cfg):
     pad_left = cfg.n_fft // 2
     pad_right = max(0, (n_frames - 1) * cfg.hop + cfg.n_fft - pad_left - n)
     x = np.pad(x, (pad_left, pad_right), mode="reflect")
-    idx = np.arange(cfg.n_fft)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    # the padded length is exactly (n_frames - 1) * hop + n_fft
+    return np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
 
 
 def stft_power(clip, cfg=None):
@@ -204,19 +208,36 @@ def mel_filterbank(n_mels, n_fft, sample_rate, f_min=0.0, f_max=None):
     return fb
 
 
+@functools.lru_cache
+def _cached_mel_filterbank(n_mels, n_fft, sample_rate):
+    """mel_filterbank over the full band, built once per key, read-only."""
+    fb = mel_filterbank(n_mels, n_fft, sample_rate)
+    fb.flags.writeable = False
+    return fb
+
+
+def _mel_energies(power, n_fft, sample_rate, n_mels=N_MELS):
+    """Per-frame mel-filterbank energies of a power spectrogram."""
+    fb = _cached_mel_filterbank(n_mels, n_fft, sample_rate)
+    return power @ fb.T
+
+
+def _mfcc(mel, n_mfcc=N_MFCC):
+    """Frame-mean MFCCs of per-frame mel energies."""
+    logmel = np.log(np.maximum(mel, LOG_FLOOR))
+    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
+    return coeffs.mean(axis=0)
+
+
 def mel_energies(clip, cfg=None, n_mels=N_MELS):
     """Per-frame mel-filterbank energies, shape (frames, n_mels)."""
     cfg = cfg or StftConfig()
-    power = stft_power(clip, cfg)
-    fb = mel_filterbank(n_mels, cfg.n_fft, clip.sample_rate)
-    return power @ fb.T
+    return _mel_energies(stft_power(clip, cfg), cfg.n_fft, clip.sample_rate, n_mels)
 
 
 def mfcc(clip, cfg=None, n_mfcc=N_MFCC, n_mels=N_MELS):
     """Frame-mean MFCCs: log mel energies through an orthonormal DCT-II."""
-    logmel = np.log(np.maximum(mel_energies(clip, cfg, n_mels), LOG_FLOOR))
-    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
-    return coeffs.mean(axis=0)
+    return _mfcc(mel_energies(clip, cfg, n_mels), n_mfcc)
 
 
 def mel_spectrogram_features(clip, cfg=None, n_mels=N_MELS):
@@ -224,18 +245,24 @@ def mel_spectrogram_features(clip, cfg=None, n_mels=N_MELS):
     return mel_energies(clip, cfg, n_mels).mean(axis=0)
 
 
-def _chroma_frames(clip, cfg):
+@functools.lru_cache
+def _chroma_classes(n_fft, sample_rate):
+    """Pitch class of each STFT bin above DC, built once per key, read-only."""
+    bin_freqs = np.arange(1, n_fft // 2 + 1) * sample_rate / n_fft
+    midi = 69.0 + 12.0 * np.log2(bin_freqs / 440.0)
+    classes = np.round(midi).astype(int) % 12
+    classes.flags.writeable = False
+    return classes
+
+
+def _chroma_frames(power, n_fft, sample_rate):
     """Per-frame max-normalized 12-bin chroma, shape (frames, 12).
 
     STFT power bins fold onto the nearest A440 equal-temperament
     semitone, modulo 12 (class 0 = C, class 9 = A). All-zero frames
     stay zero.
     """
-    cfg = cfg or StftConfig()
-    power = stft_power(clip, cfg)
-    bin_freqs = np.arange(1, cfg.n_fft // 2 + 1) * clip.sample_rate / cfg.n_fft
-    midi = 69.0 + 12.0 * np.log2(bin_freqs / 440.0)
-    classes = np.round(midi).astype(int) % 12
+    classes = _chroma_classes(n_fft, sample_rate)
     chroma = np.zeros((power.shape[0], N_CHROMA))
     for c in range(N_CHROMA):
         sel = classes == c
@@ -248,7 +275,9 @@ def _chroma_frames(clip, cfg):
 
 def chromagram(clip, cfg=None):
     """Frame-mean 12-bin chroma vector, values in [0, 1]."""
-    return _chroma_frames(clip, cfg).mean(axis=0)
+    cfg = cfg or StftConfig()
+    power = stft_power(clip, cfg)
+    return _chroma_frames(power, cfg.n_fft, clip.sample_rate).mean(axis=0)
 
 
 def _contrast_band_edges(sample_rate, n_bands):
@@ -276,17 +305,13 @@ def band_contrast(band_magnitudes, alpha):
     return peak - valley
 
 
-def spectral_contrast(clip, cfg=None, n_bands=N_CONTRAST_BANDS, alpha=0.02):
-    """Frame-mean peak-valley log contrast in octave sub-bands.
-
-    Output has n_bands + 1 entries (sub-200 Hz band included).
-    """
+def _spectral_contrast(power, n_fft, sample_rate, n_bands=N_CONTRAST_BANDS, alpha=0.02):
+    """Frame-mean peak-valley log contrast of a power spectrogram."""
     if not (0.02 <= alpha <= 0.2):
         raise ValueError("alpha must lie in [0.02, 0.2]")
-    cfg = cfg or StftConfig()
-    mag = np.sqrt(stft_power(clip, cfg))
-    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * clip.sample_rate / cfg.n_fft
-    edges = _contrast_band_edges(clip.sample_rate, n_bands)
+    mag = np.sqrt(power)
+    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    edges = _contrast_band_edges(sample_rate, n_bands)
     out = np.zeros((mag.shape[0], n_bands + 1))
     for k in range(n_bands + 1):
         if k < n_bands:
@@ -297,6 +322,16 @@ def spectral_contrast(clip, cfg=None, n_bands=N_CONTRAST_BANDS, alpha=0.02):
             raise ValueError(f"contrast band {k} contains no FFT bins")
         out[:, k] = band_contrast(mag[:, sel], alpha)
     return out.mean(axis=0)
+
+
+def spectral_contrast(clip, cfg=None, n_bands=N_CONTRAST_BANDS, alpha=0.02):
+    """Frame-mean peak-valley log contrast in octave sub-bands.
+
+    Output has n_bands + 1 entries (sub-200 Hz band included).
+    """
+    cfg = cfg or StftConfig()
+    power = stft_power(clip, cfg)
+    return _spectral_contrast(power, cfg.n_fft, clip.sample_rate, n_bands, alpha)
 
 
 def tonnetz_transform(r_fifths=1.0, r_minor=1.0, r_major=0.5):
@@ -335,16 +370,21 @@ def chroma_to_tonnetz(chroma_frames):
 
 def tonal_centroid(clip, cfg=None):
     """Frame-mean 6-D tonal centroid of the chroma frames."""
-    return chroma_to_tonnetz(_chroma_frames(clip, cfg)).mean(axis=0)
+    cfg = cfg or StftConfig()
+    chroma = _chroma_frames(stft_power(clip, cfg), cfg.n_fft, clip.sample_rate)
+    return chroma_to_tonnetz(chroma).mean(axis=0)
 
 
 def extract_features(clip, cfg=None):
-    """Full 193-dim feature vector in fixed block order."""
+    """Full 193-dim feature vector in fixed block order, from one STFT."""
     cfg = cfg or StftConfig()
+    power = stft_power(clip, cfg)
+    mel = _mel_energies(power, cfg.n_fft, clip.sample_rate)
+    chroma = _chroma_frames(power, cfg.n_fft, clip.sample_rate)
     return FeatureVector(
-        mfcc=mfcc(clip, cfg),
-        mel=mel_spectrogram_features(clip, cfg),
-        chroma=chromagram(clip, cfg),
-        contrast=spectral_contrast(clip, cfg),
-        tonnetz=tonal_centroid(clip, cfg),
+        mfcc=_mfcc(mel),
+        mel=mel.mean(axis=0),
+        chroma=chroma.mean(axis=0),
+        contrast=_spectral_contrast(power, cfg.n_fft, clip.sample_rate),
+        tonnetz=chroma_to_tonnetz(chroma).mean(axis=0),
     )

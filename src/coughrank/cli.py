@@ -34,6 +34,10 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 IN_REPO_MODELS = ("knn", "logreg")
+STRATEGIES = (1, 2, 3)
+
+# labels.csv vocabulary, matched case-insensitively
+LABEL_VALUES = {"1": 1, "covid": 1, "positive": 1, "0": 0, "non-covid": 0, "negative": 0}
 
 
 class InputError(Exception):
@@ -89,15 +93,28 @@ def _read_labels_csv(path):
         for row in reader:
             if len(row) < 2:
                 raise InputError(f"{path}:{reader.line_num}: expected sample_id,label")
-            labels[row[0]] = 1 if row[1] in ("1", "covid") else 0
+            label = LABEL_VALUES.get(row[1].lower())
+            if label is None:
+                raise InputError(
+                    f"{path}:{reader.line_num}: unknown label {row[1]!r}, expected "
+                    "1/covid/positive or 0/non-covid/negative"
+                )
+            labels[row[0]] = label
     return labels
 
 
 def cmd_extract(args):
     input_dir = Path(args.input_dir)
-    wavs = sorted(input_dir.glob("*.wav"))
+    wavs = sorted(p for p in input_dir.glob("*") if p.suffix.lower() == ".wav")
     if not wavs:
         raise InputError(f"no WAV files in {input_dir}")
+    by_stem = {}
+    for wav in wavs:
+        if wav.stem in by_stem:
+            raise InputError(
+                f"{by_stem[wav.stem]} and {wav} would share the sample_id {wav.stem!r}"
+            )
+        by_stem[wav.stem] = wav
     labels = _read_labels_csv(args.labels) if args.labels else {}
     rows = []
     failures = 0
@@ -264,6 +281,19 @@ def _load_dataset(features_csv):
     return Dataset(features=matrix, labels=np.array(labels), sample_ids=ids)
 
 
+def _read_external(path):
+    """External prediction sets; none may take an in-repo model's place."""
+    in_repo = {str(s) for s in STRATEGIES}
+    prediction_sets = tables.read_predictions(path)
+    for ps in prediction_sets:
+        if ps.model_name in IN_REPO_MODELS and ps.strategy_id in in_repo:
+            raise InputError(
+                f"{path}: external model {ps.model_name!r} in strategy "
+                f"{ps.strategy_id} clashes with the in-repo model of that name"
+            )
+    return prediction_sets
+
+
 def cmd_pipeline(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,8 +302,9 @@ def cmd_pipeline(args):
     smote_k = int(config.get("smote_k", 5))
     objective = config.get("threshold_objective", "f1")
     ds = _load_dataset(args.features)
+    external = _read_external(args.external) if args.external else []
     prediction_sets = []
-    for strategy_id in (1, 2, 3):
+    for strategy_id in STRATEGIES:
         cfg = StrategyConfig.standard(strategy_id)
         for model in IN_REPO_MODELS:
             log.info("strategy %d: training %s", strategy_id, model)
@@ -288,8 +319,7 @@ def cmd_pipeline(args):
                 )
             )
     tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
-    if args.external:
-        prediction_sets.extend(tables.read_predictions(args.external))
+    prediction_sets.extend(external)
     matrices, reports, degenerate = _evaluate_groups(
         prediction_sets, list(DEFAULT_CRITERIA)
     )

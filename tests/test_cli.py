@@ -103,6 +103,60 @@ class TestExtract:
         assert f"{labels}:{bad_line}:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_vocabulary(self, tmp_path):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        names = ("a", "b", "c", "d", "e")
+        for i, name in enumerate(names):
+            write_wav(wav_dir / f"{name}.wav", 200 + 100 * i)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "sample_id,label\na,Covid\nb,positive\nc,NEGATIVE\nd,Non-Covid\ne,0\n"
+        )
+        out = tmp_path / "features.csv"
+        code = main(["extract", str(wav_dir), "--out", str(out), "--labels", str(labels)])
+        assert code == EXIT_OK
+        ids, parsed_labels, _ = read_features(out)
+        assert ids == list(names)
+        assert parsed_labels == [1, 1, 0, 0, 0]
+
+    def test_unknown_label_is_input_error(self, tmp_path, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "a.wav", 300)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,1\nb,maybe\n")
+        out = tmp_path / "features.csv"
+        code = main(["extract", str(wav_dir), "--out", str(out), "--labels", str(labels)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{labels}:3:" in err and "'maybe'" in err
+        assert not out.exists()
+
+    def test_upper_case_suffix_is_read(self, tmp_path):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "a.wav", 300)
+        write_wav(wav_dir / "b.WAV", 500)
+        write_wav(wav_dir / "c.Wav", 700)
+        (wav_dir / "notes.txt").write_text("not audio\n")
+        out = tmp_path / "features.csv"
+        assert main(["extract", str(wav_dir), "--out", str(out)]) == EXIT_OK
+        ids, _, matrix = read_features(out)
+        assert ids == ["a", "b", "c"]
+        assert matrix.shape == (3, 193)
+
+    def test_suffix_case_twins_are_input_error(self, tmp_path, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "a.wav", 300)
+        write_wav(wav_dir / "a.WAV", 500)
+        out = tmp_path / "features.csv"
+        assert main(["extract", str(wav_dir), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(wav_dir / "a.wav") in err and str(wav_dir / "a.WAV") in err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
@@ -267,6 +321,31 @@ class TestPipeline:
         run1, run2 = pipeline_runs
         for f in sorted(p.name for p in run1.iterdir()):
             assert (run1 / f).read_bytes() == (run2 / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name", ["knn", "logreg"])
+    def test_external_model_named_like_in_repo_model_rejected(
+        self, tmp_path, capsys, name
+    ):
+        features = tmp_path / "features.csv"
+        ids, labels = make_features_csv(features, n_pos=10, n_neg=10)
+        external = tmp_path / "external.csv"
+        sets = [
+            PredictionSet(
+                model_name=model,
+                strategy_id="2",
+                sample_ids=ids,
+                true_labels=labels,
+                scores=np.linspace(0.1, 0.9, labels.size),
+            )
+            for model in ("ext0", name)
+        ]
+        write_predictions(external, sets)
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--external", str(external), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(external) in err and repr(name) in err and "strategy 2" in err
+        assert not (out / "predictions.csv").exists()
 
     def test_missing_labels_rejected(self, tmp_path):
         features = tmp_path / "features.csv"
