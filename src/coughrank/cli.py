@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .audio import DEFAULT_SAMPLE_RATE, extract_features, load_and_resample
 from .ensemble import ClosenessTable, fuse
-from .learn import DEFAULT_SEED, Dataset, StrategyConfig, rfecv, run_strategy
+from .learn import DEFAULT_SEED, Dataset, StrategyConfig, rfecv, run_strategies
 from .mcdm import entropy_weights, topsis
 from .metrics import DEFAULT_CRITERIA, build_decision_matrix, evaluate
 from . import tables
@@ -83,7 +83,8 @@ def write_manifest(out_dir, config, inputs, seed, artifacts):
     return manifest
 
 
-def _read_labels_csv(path):
+def _read_labels_csv(path, sample_ids):
+    """Labels of `sample_ids`: each id needs a row, and each row an id."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -99,7 +100,14 @@ def _read_labels_csv(path):
                     f"{path}:{reader.line_num}: unknown label {row[1]!r}, expected "
                     "1/covid/positive or 0/non-covid/negative"
                 )
+            if row[0] not in sample_ids:
+                raise InputError(
+                    f"{path}:{reader.line_num}: no WAV file for sample_id {row[0]!r}"
+                )
             labels[row[0]] = label
+    for sample_id in sample_ids:
+        if sample_id not in labels:
+            raise InputError(f"{path}: no row for sample_id {sample_id!r}")
     return labels
 
 
@@ -115,7 +123,7 @@ def cmd_extract(args):
                 f"{by_stem[wav.stem]} and {wav} would share the sample_id {wav.stem!r}"
             )
         by_stem[wav.stem] = wav
-    labels = _read_labels_csv(args.labels) if args.labels else {}
+    labels = _read_labels_csv(args.labels, by_stem) if args.labels else {}
     rows = []
     failures = 0
     for wav in wavs:
@@ -134,8 +142,9 @@ def cmd_extract(args):
     return EXIT_OK
 
 
-def _evaluate_groups(prediction_sets, criteria):
-    """Group prediction sets by strategy and build one matrix per strategy."""
+def _write_matrices(out_dir, prediction_sets, criteria):
+    """Group prediction sets by strategy, build one matrix per strategy and
+    write criteria.csv plus each strategy's matrix and evaluation reports."""
     by_strategy = {}
     for ps in prediction_sets:
         by_strategy.setdefault(ps.strategy_id, {})[ps.model_name] = ps
@@ -152,7 +161,15 @@ def _evaluate_groups(prediction_sets, criteria):
         )
         matrices[strategy] = build_decision_matrix(strategy_reports, criteria)
         reports[strategy] = strategy_reports
-    return matrices, reports, degenerate
+    tables.write_criteria(out_dir / "criteria.csv", criteria)
+    for strategy, dm in matrices.items():
+        tables.write_decision_matrix(
+            out_dir / f"decision_matrix_strategy{strategy}.csv", dm
+        )
+        tables.write_evaluation_reports(
+            out_dir / f"evaluation_reports_strategy{strategy}.csv", reports[strategy]
+        )
+    return matrices, degenerate
 
 
 def cmd_evaluate(args):
@@ -168,15 +185,7 @@ def cmd_evaluate(args):
         tables.write_criteria(out_dir / "criteria.csv", criteria)
         return EXIT_OK
     prediction_sets = tables.read_predictions(args.predictions, threshold=args.threshold)
-    matrices, reports, degenerate = _evaluate_groups(prediction_sets, criteria)
-    tables.write_criteria(out_dir / "criteria.csv", criteria)
-    for strategy, dm in matrices.items():
-        tables.write_decision_matrix(
-            out_dir / f"decision_matrix_strategy{strategy}.csv", dm
-        )
-        tables.write_evaluation_reports(
-            out_dir / f"evaluation_reports_strategy{strategy}.csv", reports[strategy]
-        )
+    _, degenerate = _write_matrices(out_dir, prediction_sets, criteria)
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
@@ -303,34 +312,19 @@ def cmd_pipeline(args):
     objective = config.get("threshold_objective", "f1")
     ds = _load_dataset(args.features)
     external = _read_external(args.external) if args.external else []
-    prediction_sets = []
-    for strategy_id in STRATEGIES:
-        cfg = StrategyConfig.standard(strategy_id)
-        for model in IN_REPO_MODELS:
-            log.info("strategy %d: training %s", strategy_id, model)
-            prediction_sets.append(
-                run_strategy(
-                    ds,
-                    model,
-                    cfg,
-                    seed=seed,
-                    smote_k=smote_k,
-                    threshold_objective=objective,
-                )
-            )
-    tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
-    prediction_sets.extend(external)
-    matrices, reports, degenerate = _evaluate_groups(
-        prediction_sets, list(DEFAULT_CRITERIA)
+    cells = [
+        (model, StrategyConfig.standard(strategy_id))
+        for strategy_id in STRATEGIES
+        for model in IN_REPO_MODELS
+    ]
+    log.info("training %d (strategy, model) cells", len(cells))
+    prediction_sets = run_strategies(
+        ds, cells, seed=seed, smote_k=smote_k, threshold_objective=objective
     )
-    tables.write_criteria(out_dir / "criteria.csv", list(DEFAULT_CRITERIA))
-    for strategy, dm in matrices.items():
-        tables.write_decision_matrix(
-            out_dir / f"decision_matrix_strategy{strategy}.csv", dm
-        )
-        tables.write_evaluation_reports(
-            out_dir / f"evaluation_reports_strategy{strategy}.csv", reports[strategy]
-        )
+    tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
+    matrices, degenerate = _write_matrices(
+        out_dir, prediction_sets + external, list(DEFAULT_CRITERIA)
+    )
     result, report_json, rank_degenerate = _rank_matrices(
         matrices, out_dir, args.tie_eps
     )
@@ -377,8 +371,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output features.csv")
     p.add_argument("--labels", help="optional labels.csv (sample_id,label)")
     p.add_argument("--rate", type=int, default=DEFAULT_SAMPLE_RATE)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="build decision matrices from predictions")
@@ -387,8 +379,6 @@ def build_parser():
     p.add_argument("--criteria", help="criteria.csv (default: the standard 8)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="entropy weights + TOPSIS + ensembles")
@@ -396,7 +386,6 @@ def build_parser():
     p.add_argument("--criteria", help="criteria.csv (default: the standard 8)")
     p.add_argument("--tie-eps", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_rank)
 
@@ -414,7 +403,6 @@ def build_parser():
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--out", required=True, help="output rfecv_curve.csv")
-    p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_rfecv)
     return parser

@@ -54,9 +54,7 @@ class Dataset:
 
 @dataclass
 class FoldPlan:
-    k: int
     assignments: np.ndarray
-    seed: int
 
 
 @dataclass
@@ -70,18 +68,12 @@ class StrategyConfig:
 
     id: int
     use_smote: bool
-    threshold_moving: bool = True
-    hyperparam_mode: str = "fixed"
 
     @classmethod
     def standard(cls, strategy_id):
-        if strategy_id == 1:
-            return cls(1, use_smote=False)
-        if strategy_id == 2:
-            return cls(2, use_smote=True)
-        if strategy_id == 3:
-            return cls(3, use_smote=True, hyperparam_mode="nested_grid")
-        raise ValueError(f"unknown strategy id {strategy_id}")
+        if strategy_id not in (1, 2, 3):
+            raise ValueError(f"unknown strategy id {strategy_id}")
+        return cls(strategy_id, use_smote=strategy_id != 1)
 
 
 def stratified_kfold(labels, k, seed=DEFAULT_SEED):
@@ -102,7 +94,7 @@ def stratified_kfold(labels, k, seed=DEFAULT_SEED):
             raise ValueError(f"class {cls} has fewer than {k} members")
         rng.shuffle(idx)
         assignments[idx] = np.arange(idx.size) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(assignments)
 
 
 def smote(minority, target_count, k_neighbors=5, seed=DEFAULT_SEED):
@@ -321,53 +313,49 @@ def _grid_search(model_name, grid, train, seed):
     return best[1]
 
 
-def run_strategy(
-    ds,
-    model_name,
-    cfg,
-    seed=DEFAULT_SEED,
-    smote_k=5,
-    threshold_grid=None,
-    threshold_objective="f1",
-):
-    """Out-of-fold predictions for one model under one training strategy.
+def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1"):
+    """Out-of-fold predictions for each (model_name, StrategyConfig) cell.
 
-    Outer 10-fold stratified CV; SMOTE is applied to the training
+    One pass over the outer 10-fold stratified CV serves every cell:
+    each fold's split, and its SMOTE-balanced training set if any cell
+    uses SMOTE, are built once. SMOTE is applied to the training
     portion only. Strategy 3 picks hyper-parameters per outer fold by
     inner 5-fold grid search on AUC. The decision threshold is chosen
-    on training-fold predictions and averaged over folds.
+    on training-fold predictions and averaged over folds. Returns one
+    PredictionSet per cell, in the order of `cells`.
     """
-    if model_name not in _TRAINERS:
-        raise ValueError(f"unknown model {model_name!r}")
+    for model_name, _ in cells:
+        if model_name not in _TRAINERS:
+            raise ValueError(f"unknown model {model_name!r}")
     plan = stratified_kfold(ds.labels, OUTER_FOLDS, seed=seed)
-    n = ds.features.shape[0]
-    oof_scores = np.zeros(n)
-    thresholds = []
+    oof_scores = np.zeros((len(cells), ds.features.shape[0]))
+    thresholds = [[] for _ in cells]
     for fold in range(OUTER_FOLDS):
         test_mask = plan.assignments == fold
         train_idx = np.flatnonzero(~test_mask)
         X_tr, y_tr = ds.features[train_idx], ds.labels[train_idx]
+        X_te = ds.features[test_mask]
         ids_tr = [ds.sample_ids[i] for i in train_idx]
-        if cfg.use_smote:
+        fit_sets = {False: Dataset(X_tr, y_tr, ids_tr)}
+        if any(cfg.use_smote for _, cfg in cells):
             X_fit, y_fit = balance_with_smote(
                 X_tr, y_tr, k_neighbors=smote_k, seed=seed + fold
             )
             ids_fit = ids_tr + [
                 f"synthetic_{fold}_{i}" for i in range(len(y_fit) - len(y_tr))
             ]
-        else:
-            X_fit, y_fit, ids_fit = X_tr, y_tr, ids_tr
-        fit_set = Dataset(X_fit, y_fit, ids_fit)
-        if cfg.hyperparam_mode == "nested_grid":
-            params = _grid_search(
-                model_name, MODEL_GRIDS[model_name], fit_set, seed + fold
-            )
-        else:
-            params = MODEL_DEFAULTS[model_name]
-        fit, predict = _TRAINERS[model_name]
-        model = fit(fit_set, **params)
-        oof_scores[test_mask] = predict(model, ds.features[test_mask])
-        if cfg.threshold_moving:
+            fit_sets[True] = Dataset(X_fit, y_fit, ids_fit)
+        for c, (model_name, cfg) in enumerate(cells):
+            fit_set = fit_sets[cfg.use_smote]
+            if cfg.id == 3:
+                params = _grid_search(
+                    model_name, MODEL_GRIDS[model_name], fit_set, seed + fold
+                )
+            else:
+                params = MODEL_DEFAULTS[model_name]
+            fit, predict = _TRAINERS[model_name]
+            model = fit(fit_set, **params)
+            oof_scores[c, test_mask] = predict(model, X_te)
             train_preds = PredictionSet(
                 model_name,
                 str(cfg.id),
@@ -375,20 +363,31 @@ def run_strategy(
                 y_tr,
                 np.clip(predict(model, X_tr), 0.0, 1.0),
             )
-            kwargs = {"objective": threshold_objective}
-            if threshold_grid is not None:
-                kwargs["grid"] = threshold_grid
-            thresholds.append(threshold_sweep(train_preds, **kwargs))
-    threshold = float(np.mean(thresholds)) if thresholds else 0.5
+            thresholds[c].append(
+                threshold_sweep(train_preds, objective=threshold_objective)
+            )
     order = np.argsort(np.asarray(ds.sample_ids, dtype=object), kind="stable")
-    return PredictionSet(
-        model_name=model_name,
-        strategy_id=str(cfg.id),
-        sample_ids=[ds.sample_ids[i] for i in order],
-        true_labels=ds.labels[order],
-        scores=np.clip(oof_scores[order], 0.0, 1.0),
-        threshold=threshold,
-    )
+    return [
+        PredictionSet(
+            model_name=model_name,
+            strategy_id=str(cfg.id),
+            sample_ids=[ds.sample_ids[i] for i in order],
+            true_labels=ds.labels[order],
+            scores=np.clip(scores[order], 0.0, 1.0),
+            threshold=float(np.mean(cell_thresholds)),
+        )
+        for (model_name, cfg), scores, cell_thresholds in zip(
+            cells, oof_scores, thresholds
+        )
+    ]
+
+
+def run_strategy(
+    ds, model_name, cfg, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1"
+):
+    """Out-of-fold predictions for one model under one training strategy."""
+    cells = [(model_name, cfg)]
+    return run_strategies(ds, cells, seed, smote_k, threshold_objective)[0]
 
 
 def _logreg_importance(ds):
@@ -396,7 +395,7 @@ def _logreg_importance(ds):
     return np.abs(model.weights[:-1])
 
 
-def _cv_auc(ds, mask, model_name, k_folds, seed):
+def _cv_auc(ds, mask, k_folds, seed):
     plan = stratified_kfold(ds.labels, k_folds, seed=seed)
     aucs = []
     for fold in range(k_folds):
@@ -407,13 +406,13 @@ def _cv_auc(ds, mask, model_name, k_folds, seed):
             [ds.sample_ids[i] for i in np.flatnonzero(~test)],
         )
         scores = _fit_predict(
-            model_name, MODEL_DEFAULTS[model_name], train, ds.features[test][:, mask]
+            "logreg", MODEL_DEFAULTS["logreg"], train, ds.features[test][:, mask]
         )
         aucs.append(rank_auc(ds.labels[test], scores))
     return float(np.mean(aucs))
 
 
-def rfecv(ds, estimator="logreg", step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED):
+def rfecv(ds, step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED):
     """Recursive feature elimination with cross-validated scoring.
 
     Repeatedly drops the `step` lowest-importance features (|coefficient|
@@ -421,8 +420,6 @@ def rfecv(ds, estimator="logreg", step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED
     boolean mask with the best mean AUC (smallest size on ties) and the
     (n_features, mean_auc) curve.
     """
-    if estimator != "logreg":
-        raise ValueError("only the logistic-importance estimator is bundled")
     d = ds.features.shape[1]
     if step < 1 or step >= d:
         raise ValueError("require 1 <= step < number of features")
@@ -431,7 +428,7 @@ def rfecv(ds, estimator="logreg", step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED
     best_mask, best_score = None, None
     while True:
         size = int(mask.sum())
-        score = _cv_auc(ds, mask, estimator, k_folds, seed)
+        score = _cv_auc(ds, mask, k_folds, seed)
         curve.append((size, score))
         if (
             best_score is None

@@ -157,6 +157,34 @@ class TestExtract:
         assert str(wav_dir / "a.wav") in err and str(wav_dir / "a.WAV") in err
         assert not out.exists()
 
+    def test_wav_without_label_row_is_input_error(self, tmp_path, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        for i, name in enumerate(("a", "b", "c")):
+            write_wav(wav_dir / f"{name}.wav", 300 + 100 * i)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,1\nc,0\n")
+        out = tmp_path / "features.csv"
+        code = main(["extract", str(wav_dir), "--out", str(out), "--labels", str(labels)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(labels) in err and "'b'" in err
+        assert not out.exists()
+
+    def test_label_row_without_wav_is_input_error(self, tmp_path, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "a.wav", 300)
+        write_wav(wav_dir / "b.wav", 500)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,1\nzz,0\nb,0\n")
+        out = tmp_path / "features.csv"
+        code = main(["extract", str(wav_dir), "--out", str(out), "--labels", str(labels)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{labels}:3:" in err and "'zz'" in err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
@@ -253,6 +281,24 @@ class TestRank:
         for digest in manifest["input_digests"].values():
             assert len(digest) == 64
         assert manifest == report["manifest"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "wavs", "--out", "f.csv", "--config", "run.cfg"],
+        ["extract", "wavs", "--out", "f.csv", "--seed", "1"],
+        ["evaluate", "p.csv", "--out", "o", "--config", "run.cfg"],
+        ["evaluate", "p.csv", "--out", "o", "--seed", "1"],
+        ["rank", "m.csv", "--out", "o", "--config", "run.cfg"],
+        ["rfecv", "f.csv", "--out", "c.csv", "--config", "run.cfg"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_removed_flag_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_feature_extraction_demo_runs():
+def run_demo(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "01_feature_extraction.py")],
+        [sys.executable, str(ROOT / "demos" / name)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert "feature vector length: 193" in result.stdout
+    return result.stdout
+
+
+def test_feature_extraction_demo_runs():
+    assert "feature vector length: 193" in run_demo("01_feature_extraction.py")
+
+
+def test_training_strategies_demo_runs():
+    out = run_demo("05_training_strategies.py")
+    for model in ("knn", "logreg"):
+        assert sum(line.startswith(model) for line in out.splitlines()) == 3
+
+
+def test_feature_elimination_demo_runs():
+    assert "informative columns 0 and 1 kept: True" in run_demo("06_feature_elimination.py")

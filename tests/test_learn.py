@@ -290,11 +290,6 @@ class TestRfecv:
         with pytest.raises(ValueError):
             rfecv(ds, step=4)
 
-    def test_unknown_estimator_rejected(self):
-        ds = self._informative_dataset(3, n_noise=2)
-        with pytest.raises(ValueError):
-            rfecv(ds, estimator="forest")
-
     def test_recovers_informative_features(self):
         hits = 0
         for seed in range(10):
