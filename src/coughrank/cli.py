@@ -23,7 +23,7 @@ from .audio import DEFAULT_SAMPLE_RATE, extract_features, load_and_resample
 from .ensemble import ClosenessTable, fuse
 from .learn import DEFAULT_SEED, Dataset, StrategyConfig, rfecv, run_strategies
 from .mcdm import entropy_weights, topsis
-from .metrics import DEFAULT_CRITERIA, build_decision_matrix, evaluate
+from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, build_decision_matrix, evaluate
 from . import tables
 
 log = logging.getLogger("coughrank")
@@ -39,13 +39,16 @@ STRATEGIES = (1, 2, 3)
 # labels.csv vocabulary, matched case-insensitively
 LABEL_VALUES = {"1": 1, "covid": 1, "positive": 1, "0": 0, "non-covid": 0, "negative": 0}
 
+# pipeline --config keys, each with its allowed values (None: any)
+PIPELINE_CONFIG = {"seed": None, "smote_k": None, "threshold_objective": METRIC_NAMES}
+
 
 class InputError(Exception):
     """Invalid input file or option combination (exit code 2)."""
 
 
 def read_config(path):
-    """Flat `key = value` config text; values parse as JSON when possible."""
+    """Flat `key = value` pipeline config checked against PIPELINE_CONFIG."""
     config = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -54,11 +57,17 @@ def read_config(path):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         try:
-            config[key.strip()] = json.loads(value)
+            value = json.loads(value)
         except json.JSONDecodeError:
-            config[key.strip()] = value
+            pass
+        if key not in PIPELINE_CONFIG:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        allowed = PIPELINE_CONFIG[key]
+        if allowed and value not in allowed:
+            raise InputError(f"{path}:{lineno}: {key} must be one of {allowed}")
+        config[key] = value
     return config
 
 
@@ -104,6 +113,10 @@ def _read_labels_csv(path, sample_ids):
                 raise InputError(
                     f"{path}:{reader.line_num}: no WAV file for sample_id {row[0]!r}"
                 )
+            if row[0] in labels:
+                raise InputError(
+                    f"{path}:{reader.line_num}: repeated sample_id {row[0]!r}"
+                )
             labels[row[0]] = label
     for sample_id in sample_ids:
         if sample_id not in labels:
@@ -142,12 +155,15 @@ def cmd_extract(args):
     return EXIT_OK
 
 
-def _write_matrices(out_dir, prediction_sets, criteria):
+def _write_matrices(out_dir, sourced_sets, criteria):
     """Group prediction sets by strategy, build one matrix per strategy and
-    write criteria.csv plus each strategy's matrix and evaluation reports."""
+    write criteria.csv plus each strategy's matrix and evaluation reports.
+
+    `sourced_sets` pairs each PredictionSet with the file it came from.
+    """
     by_strategy = {}
-    for ps in prediction_sets:
-        by_strategy.setdefault(ps.strategy_id, {})[ps.model_name] = ps
+    for source, ps in sourced_sets:
+        by_strategy.setdefault(ps.strategy_id, {})[ps.model_name] = (source, ps)
     matrices, reports, degenerate = {}, {}, False
     for strategy in sorted(by_strategy):
         group = by_strategy[strategy]
@@ -155,7 +171,14 @@ def _write_matrices(out_dir, prediction_sets, criteria):
             raise InputError(
                 f"strategy {strategy}: need at least 2 models, got {len(group)}"
             )
-        strategy_reports = {m: evaluate(ps) for m, ps in group.items()}
+        strategy_reports = {}
+        for model, (source, ps) in group.items():
+            try:
+                strategy_reports[model] = evaluate(ps)
+            except ValueError as exc:
+                raise InputError(
+                    f"{source}: model {model!r} in strategy {strategy}: {exc}"
+                ) from exc
         degenerate = degenerate or any(
             r.degenerate for r in strategy_reports.values()
         )
@@ -184,8 +207,12 @@ def cmd_evaluate(args):
         tables.write_decision_matrix(out_dir / Path(args.matrix).name, dm)
         tables.write_criteria(out_dir / "criteria.csv", criteria)
         return EXIT_OK
+    if not 0.0 < args.threshold < 1.0:
+        raise InputError("--threshold must lie in (0, 1)")
     prediction_sets = tables.read_predictions(args.predictions, threshold=args.threshold)
-    _, degenerate = _write_matrices(out_dir, prediction_sets, criteria)
+    _, degenerate = _write_matrices(
+        out_dir, [(args.predictions, ps) for ps in prediction_sets], criteria
+    )
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
@@ -322,9 +349,9 @@ def cmd_pipeline(args):
         ds, cells, seed=seed, smote_k=smote_k, threshold_objective=objective
     )
     tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
-    matrices, degenerate = _write_matrices(
-        out_dir, prediction_sets + external, list(DEFAULT_CRITERIA)
-    )
+    sourced = [(args.features, ps) for ps in prediction_sets]
+    sourced += [(args.external, ps) for ps in external]
+    matrices, degenerate = _write_matrices(out_dir, sourced, list(DEFAULT_CRITERIA))
     result, report_json, rank_degenerate = _rank_matrices(
         matrices, out_dir, args.tie_eps
     )

@@ -8,7 +8,6 @@ decision matrices over a set of models.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 METRIC_NAMES = (
     "acc",
@@ -120,30 +119,35 @@ class DecisionMatrix:
         return np.array([c.direction == COST for c in self.criteria])
 
 
-def confusion_counts(preds):
+def confusion_counts(true_labels, scores, threshold):
     """(TP, FP, TN, FN); predicted positive iff score >= threshold."""
-    if preds.scores.size == 0:
+    if scores.size == 0:
         raise ValueError("empty prediction set")
-    pred_pos = preds.scores >= preds.threshold
-    pos = preds.true_labels == 1
+    pred_pos = scores >= threshold
+    pos = true_labels == 1
     tp = int(np.sum(pred_pos & pos))
-    fp = int(np.sum(pred_pos & ~pos))
-    tn = int(np.sum(~pred_pos & ~pos))
-    fn = int(np.sum(~pred_pos & pos))
-    return tp, fp, tn, fn
+    fp = int(np.sum(pred_pos)) - tp
+    fn = int(np.sum(pos)) - tp
+    return tp, fp, scores.size - tp - fp - fn, fn
 
 
 def rank_auc(true_labels, scores):
-    """ROC-AUC via the Mann-Whitney rank statistic, ties counted 1/2."""
+    """ROC-AUC as the Mann-Whitney U, ties counted 1/2 (Fawcett 2006).
+
+    2U is summed as an exact integer from per-score class counts.
+    """
     true_labels = np.asarray(true_labels, dtype=int)
     scores = np.asarray(scores, dtype=np.float64)
-    n_pos = int(np.sum(true_labels == 1))
-    n_neg = int(np.sum(true_labels == 0))
+    pos, neg = true_labels == 1, true_labels == 0
+    n_pos, n_neg = int(np.sum(pos)), int(np.sum(neg))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes present")
-    ranks = scipy.stats.rankdata(scores)
-    rank_sum = ranks[true_labels == 1].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    levels, level_of = np.unique(scores, return_inverse=True)
+    pos_at = np.bincount(level_of[pos], minlength=levels.size)
+    neg_at = np.bincount(level_of[neg], minlength=levels.size)
+    neg_below = np.cumsum(neg_at) - neg_at
+    twice_u = int(np.sum(pos_at * (2 * neg_below + neg_at)))
+    return twice_u / (2 * n_pos * n_neg)
 
 
 def _safe_ratio(num, den, name, degenerate):
@@ -153,18 +157,17 @@ def _safe_ratio(num, den, name, degenerate):
     return num / den
 
 
-def evaluate(preds):
-    """Compute the eight-criterion EvaluationReport for one PredictionSet."""
-    tp, fp, tn, fn = confusion_counts(preds)
-    n = tp + fp + tn + fn
+def _report(counts, auc):
+    """The eight-criterion EvaluationReport of (TP, FP, TN, FN) and an AUC."""
+    tp, fp, tn, fn = counts
     degenerate = []
     precision = _safe_ratio(tp, tp + fp, "precision", degenerate)
     recall = _safe_ratio(tp, tp + fn, "recall", degenerate)
     specificity = _safe_ratio(tn, tn + fp, "specificity", degenerate)
     f1 = _safe_ratio(2 * precision * recall, precision + recall, "f1", degenerate)
     return EvaluationReport(
-        acc=(tp + tn) / n,
-        auc=rank_auc(preds.true_labels, preds.scores),
+        acc=(tp + tn) / (tp + fp + tn + fn),
+        auc=auc,
         precision=precision,
         recall=recall,
         specificity=specificity,
@@ -175,36 +178,28 @@ def evaluate(preds):
     )
 
 
+def evaluate(preds):
+    """Compute the eight-criterion EvaluationReport for one PredictionSet."""
+    counts = confusion_counts(preds.true_labels, preds.scores, preds.threshold)
+    return _report(counts, rank_auc(preds.true_labels, preds.scores))
+
+
 DEFAULT_THRESHOLD_GRID = tuple(np.round(np.arange(0.01, 1.0, 0.01), 2))
 
 
-def threshold_sweep(preds, grid=DEFAULT_THRESHOLD_GRID, objective="f1"):
-    """Pick the grid cutoff maximizing `objective` on the predictions.
+def threshold_sweep(preds, objective="f1"):
+    """Pick the cutoff of DEFAULT_THRESHOLD_GRID maximizing `objective`.
 
     Ties break toward the cutoff nearest 0.5, then the smaller cutoff.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("threshold grid must be non-empty")
-    if any(not (0.0 < t < 1.0) for t in grid):
-        raise ValueError("grid cutoffs must lie in (0, 1)")
     if objective not in METRIC_NAMES:
         raise ValueError(f"unknown objective {objective!r}")
+    auc = rank_auc(preds.true_labels, preds.scores)
     best = None
-    n_defined = 0
-    for cutoff in grid:
-        trial = PredictionSet(
-            preds.model_name,
-            preds.strategy_id,
-            preds.sample_ids,
-            preds.true_labels,
-            preds.scores,
-            threshold=float(cutoff),
-        )
-        report = evaluate(trial)
+    for cutoff in DEFAULT_THRESHOLD_GRID:
+        report = _report(confusion_counts(preds.true_labels, preds.scores, cutoff), auc)
         if objective in report.degenerate:
             continue
-        n_defined += 1
         key = (-getattr(report, objective), abs(cutoff - 0.5), cutoff)
         if best is None or key < best[0]:
             best = (key, float(cutoff))

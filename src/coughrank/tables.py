@@ -100,8 +100,8 @@ def read_predictions(path, threshold=0.5):
         groups.setdefault((model, strategy), []).append((sid, label, score))
     out = []
     for (model, strategy), entries in groups.items():
-        out.append(
-            PredictionSet(
+        try:
+            ps = PredictionSet(
                 model_name=model,
                 strategy_id=strategy,
                 sample_ids=[e[0] for e in entries],
@@ -109,7 +109,11 @@ def read_predictions(path, threshold=0.5):
                 scores=np.array([e[2] for e in entries]),
                 threshold=threshold,
             )
-        )
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: model {model!r} in strategy {strategy}: {exc}"
+            ) from exc
+        out.append(ps)
     return out
 
 
@@ -186,31 +190,6 @@ def write_closeness(path, ct):
     _write_rows(path, ["model", "strategy", "closeness"], rows)
 
 
-def read_closeness(path):
-    from .ensemble import ClosenessTable
-
-    header, rows = _read_rows(path)
-    if header != ["model", "strategy", "closeness"]:
-        raise ValueError(f"{path}: unexpected header")
-    models, strategies, cells = [], [], {}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns")
-        model, strategy, value = row[0], row[1], float(row[2])
-        if model not in models:
-            models.append(model)
-        if strategy not in strategies:
-            strategies.append(strategy)
-        cells[(model, strategy)] = value
-    table = np.empty((len(models), len(strategies)))
-    for i, model in enumerate(models):
-        for j, strategy in enumerate(strategies):
-            if (model, strategy) not in cells:
-                raise ValueError(f"{path}: missing cell ({model}, {strategy})")
-            table[i, j] = cells[(model, strategy)]
-    return ClosenessTable(models=models, strategies=strategies, closeness=table)
-
-
 def write_ensemble_report(path, result):
     rows = [
         [
@@ -233,15 +212,11 @@ def write_rfecv_curve(path, curve):
     )
 
 
-def evaluation_report_row(model, report):
-    return [model] + [fmt(getattr(report, name)) for name in METRIC_NAMES]
-
-
 def write_evaluation_reports(path, reports):
     """Per-model metric reports; `reports` maps model -> EvaluationReport."""
     header = ["model"] + list(METRIC_NAMES) + ["degenerate"]
     rows = [
-        evaluation_report_row(model, rep) + [";".join(rep.degenerate)]
+        [model] + [fmt(v) for v in rep.as_dict().values()] + [";".join(rep.degenerate)]
         for model, rep in reports.items()
     ]
     _write_rows(path, header, rows)

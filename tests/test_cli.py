@@ -58,8 +58,10 @@ def make_external_csv(path, sample_ids, labels, n_models=8, seed=1):
 class TestReadConfig:
     def test_parses_values_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nseed = 7\nname = knn\nsmote_k = 3\n")
-        assert read_config(path) == {"seed": 7, "name": "knn", "smote_k": 3}
+        path.write_text("# comment\nseed = 7\nthreshold_objective = auc\nsmote_k = 3\n")
+        assert read_config(path) == {
+            "seed": 7, "threshold_objective": "auc", "smote_k": 3
+        }
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -185,6 +187,20 @@ class TestExtract:
         assert f"{labels}:3:" in err and "'zz'" in err
         assert not out.exists()
 
+    def test_repeated_sample_id_is_input_error(self, tmp_path, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "a.wav", 300)
+        write_wav(wav_dir / "b.wav", 500)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,1\nb,0\na,0\n")
+        out = tmp_path / "features.csv"
+        code = main(["extract", str(wav_dir), "--out", str(out), "--labels", str(labels)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{labels}:4:" in err and "repeated sample_id 'a'" in err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
@@ -227,6 +243,30 @@ class TestEvaluate:
 
     def test_missing_inputs_rejected(self, tmp_path):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+    def test_one_class_group_names_file_and_group(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(
+            "model,strategy,sample_id,true_label,score\n"
+            "good,1,s0,0,0.2\ngood,1,s1,1,0.8\n"
+            "flat,1,s0,1,0.2\nflat,1,s1,1,0.8\n"
+        )
+        code = main(["evaluate", str(preds), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{preds}: model 'flat' in strategy 1:" in err
+        assert "AUC requires both classes present" in err
+
+    def test_threshold_out_of_range_names_flag_not_group(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        make_external_csv(preds, [f"s{i}" for i in range(10)], np.array([0, 1] * 5))
+        code = main(
+            ["evaluate", str(preds), "--threshold", "1.5", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--threshold must lie in (0, 1)" in err
+        assert "model" not in err and str(preds) not in err
 
     def test_single_model_rejected(self, tmp_path):
         preds = tmp_path / "predictions.csv"
@@ -391,6 +431,42 @@ class TestPipeline:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(external) in err and repr(name) in err and "strategy 2" in err
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "body, bad_line",
+        [
+            ("threshold_objective = acc\nsmote-k = 3\n", 2),
+            ("threshold_objective = auroc\n", 1),
+        ],
+        ids=["unknown_key", "unknown_objective"],
+    )
+    def test_bad_config_rejected_before_training(
+        self, tmp_path, capsys, body, bad_line
+    ):
+        features = tmp_path / "features.csv"
+        make_features_csv(features, n_pos=10, n_neg=10)
+        config = tmp_path / "run.cfg"
+        config.write_text(body)
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert f"{config}:{bad_line}:" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    def test_non_binary_external_label_names_file_and_group(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        make_features_csv(features, n_pos=10, n_neg=10)
+        external = tmp_path / "external.csv"
+        external.write_text(
+            "model,strategy,sample_id,true_label,score\next0,2,s000,2,0.5\n"
+        )
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--external", str(external), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{external}: model 'ext0' in strategy 2:" in err
+        assert "labels must be binary 0/1" in err
         assert not (out / "predictions.csv").exists()
 
     def test_missing_labels_rejected(self, tmp_path):

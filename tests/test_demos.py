@@ -23,6 +23,15 @@ def test_feature_extraction_demo_runs():
     assert "feature vector length: 193" in run_demo("01_feature_extraction.py")
 
 
+def test_metrics_demo_prints_each_models_threshold_auc_and_f1():
+    lines = run_demo("02_metrics_decision_matrix.py").splitlines()
+    assert lines[:3] == [
+        "strong    threshold 0.50  auc 1.000  f1 1.000",
+        "middling  threshold 0.42  auc 0.981  f1 0.945",
+        "weak      threshold 0.36  auc 0.794  f1 0.767",
+    ]
+
+
 def test_training_strategies_demo_runs():
     out = run_demo("05_training_strategies.py")
     for model in ("knn", "logreg"):

@@ -30,12 +30,12 @@ def make_preds(labels, scores, threshold=0.5):
 
 class TestConfusionCounts:
     def test_all_positive_all_predicted(self):
-        preds = make_preds([1] * 5, [1.0] * 5)
-        assert confusion_counts(preds) == (5, 0, 0, 0)
+        assert confusion_counts(np.ones(5, dtype=int), np.ones(5), 0.5) == (5, 0, 0, 0)
 
     def test_hand_counted(self):
-        preds = make_preds([1, 1, 0, 0], [0.9, 0.2, 0.8, 0.1])
-        assert confusion_counts(preds) == (1, 1, 1, 1)
+        labels = np.array([1, 1, 0, 0])
+        scores = np.array([0.9, 0.2, 0.8, 0.1])
+        assert confusion_counts(labels, scores, 0.5) == (1, 1, 1, 1)
 
     def test_threshold_outside_open_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -45,8 +45,8 @@ class TestConfusionCounts:
 
     def test_counts_partition(self):
         rng = np.random.default_rng(0)
-        preds = make_preds(rng.integers(0, 2, 50), rng.uniform(0, 1, 50))
-        assert sum(confusion_counts(preds)) == 50
+        labels, scores = rng.integers(0, 2, 50), rng.uniform(0, 1, 50)
+        assert sum(confusion_counts(labels, scores, 0.5)) == 50
 
 
 class TestEvaluate:
@@ -137,24 +137,12 @@ class TestEvaluate:
 class TestThresholdSweep:
     def test_separable_picks_cutoff_nearest_half(self):
         preds = make_preds([1, 1, 0, 0], [0.9, 0.8, 0.3, 0.1])
-        best = threshold_sweep(preds, grid=[0.35, 0.5, 0.6, 0.75], objective="f1")
-        assert best == 0.5
-
-    def test_single_element_grid(self):
-        preds = make_preds([1, 0], [0.9, 0.1])
-        assert threshold_sweep(preds, grid=[0.42]) == 0.42
+        assert threshold_sweep(preds, objective="f1") == 0.5
 
     def test_hand_case(self):
+        # every cutoff in (0.5, 0.55] gives F1 = 1; 0.51 is nearest 0.5
         preds = make_preds([1, 1, 1, 0], [0.9, 0.6, 0.55, 0.5])
-        assert threshold_sweep(preds, grid=[0.3, 0.52, 0.7], objective="f1") == 0.52
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_sweep(make_preds([1, 0], [0.9, 0.1]), grid=[])
-
-    def test_cutoffs_must_be_interior(self):
-        with pytest.raises(ValueError):
-            threshold_sweep(make_preds([1, 0], [0.9, 0.1]), grid=[0.5, 1.0])
+        assert threshold_sweep(preds, objective="f1") == 0.51
 
 
 class TestDecisionMatrix:

@@ -6,7 +6,6 @@ from coughrank.ensemble import ClosenessTable
 from coughrank.metrics import DEFAULT_CRITERIA, PredictionSet
 from coughrank.tables import (
     fmt,
-    read_closeness,
     read_criteria,
     read_decision_matrix,
     read_features,
@@ -162,19 +161,13 @@ class TestClosenessFile:
         ct = ClosenessTable(
             ["a", "b", "c"],
             ["1", "2"],
-            np.array([[0.1, 0.9], [0.4, 0.2], [0.5, 0.8]]),
+            np.array([[0.1, 0.9], [1 / 3, 0.2], [0.5, 2 / 3]]),
         )
         path = tmp_path / "closeness.csv"
         write_closeness(path, ct)
-        back = read_closeness(path)
-        assert back.models == ct.models
-        assert back.strategies == ct.strategies
-        np.testing.assert_allclose(back.closeness, ct.closeness, rtol=1e-8)
-
-    def test_missing_cell_rejected(self, tmp_path):
-        path = tmp_path / "closeness.csv"
-        path.write_text(
-            "model,strategy,closeness\na,1,0.5\na,2,0.6\nb,1,0.7\n"
+        assert path.read_text() == (
+            "model,strategy,closeness\n"
+            "a,1,0.1\na,2,0.9\n"
+            "b,1,0.333333333\nb,2,0.2\n"
+            "c,1,0.5\nc,2,0.666666667\n"
         )
-        with pytest.raises(ValueError, match="missing cell"):
-            read_closeness(path)
