@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
-import scipy.io.wavfile
-import scipy.signal
 
 DEFAULT_SAMPLE_RATE = 22050
 
@@ -105,6 +102,8 @@ def load_and_resample(path, target_rate=DEFAULT_SAMPLE_RATE):
     averaged to mono; resampling is polyphase windowed-sinc
     interpolation.
     """
+    import scipy.io.wavfile
+
     try:
         rate, data = scipy.io.wavfile.read(path)
     except FileNotFoundError:
@@ -134,6 +133,8 @@ def load_and_resample(path, target_rate=DEFAULT_SAMPLE_RATE):
         raise ValueError(f"{path!r}: unsupported WAV encoding {encoding}")
 
     if target_rate != rate:
+        import scipy.signal
+
         ratio = Fraction(int(target_rate), int(rate))
         samples = scipy.signal.resample_poly(
             samples, ratio.numerator, ratio.denominator
@@ -224,6 +225,8 @@ def _mel_energies(power, n_fft, sample_rate, n_mels=N_MELS):
 
 def _mfcc(mel, n_mfcc=N_MFCC):
     """Frame-mean MFCCs of per-frame mel energies."""
+    import scipy.fft
+
     logmel = np.log(np.maximum(mel, LOG_FLOOR))
     coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
     return coeffs.mean(axis=0)

@@ -5,7 +5,7 @@ alternatives are then ranked by relative closeness to the ideal-best
 solution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ class WeightVector:
     """Nonnegative per-criterion weights summing to 1."""
 
     weights: np.ndarray
-    entropies: np.ndarray = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -59,7 +58,7 @@ def entropy_weights(dm):
     entropy = -terms.sum(axis=0) / np.log(m)
     entropy = np.where(varying, entropy, 1.0)
     deficit = 1.0 - entropy
-    return WeightVector(weights=deficit / deficit.sum(), entropies=entropy)
+    return WeightVector(weights=deficit / deficit.sum())
 
 
 def vector_normalize(values):

@@ -83,8 +83,22 @@ def write_predictions(path, prediction_sets):
     _write_rows(path, ["model", "strategy", "sample_id", "true_label", "score"], rows)
 
 
+def _first_repeat(rows, model, strategy):
+    """Line number and id of the first sample_id seen twice in one group."""
+    seen = set()
+    for lineno, row in enumerate(rows, start=2):
+        if row[0] == model and row[1] == strategy:
+            if row[2] in seen:
+                return lineno, row[2]
+            seen.add(row[2])
+
+
 def read_predictions(path, threshold=0.5):
-    """Parse predictions.csv into PredictionSets grouped by (model, strategy)."""
+    """Parse predictions.csv into PredictionSets grouped by (model, strategy).
+
+    A sample_id may appear once per (model, strategy) group; a repeat is
+    reported with the file and line where it recurs.
+    """
     header, rows = _read_rows(path)
     if header != ["model", "strategy", "sample_id", "true_label", "score"]:
         raise ValueError(f"{path}: unexpected header")
@@ -100,11 +114,18 @@ def read_predictions(path, threshold=0.5):
         groups.setdefault((model, strategy), []).append((sid, label, score))
     out = []
     for (model, strategy), entries in groups.items():
+        sample_ids = [e[0] for e in entries]
+        if len(set(sample_ids)) != len(sample_ids):
+            lineno, sid = _first_repeat(rows, model, strategy)
+            raise ValueError(
+                f"{path}:{lineno}: sample_id {sid!r} repeated in model {model!r},"
+                f" strategy {strategy}"
+            )
         try:
             ps = PredictionSet(
                 model_name=model,
                 strategy_id=strategy,
-                sample_ids=[e[0] for e in entries],
+                sample_ids=sample_ids,
                 true_labels=np.array([e[1] for e in entries]),
                 scores=np.array([e[2] for e in entries]),
                 threshold=threshold,

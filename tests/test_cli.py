@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,19 @@ class TestEvaluate:
         assert f"{preds}: model 'flat' in strategy 1:" in err
         assert "AUC requires both classes present" in err
 
+    def test_repeated_sample_id_in_group_names_line(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(
+            "model,strategy,sample_id,true_label,score\n"
+            "a,1,s0,0,0.2\na,1,s1,1,0.8\n"
+            "b,1,s0,0,0.3\nb,1,s1,1,0.7\n"
+            "a,1,s1,0,0.4\n"
+        )
+        code = main(["evaluate", str(preds), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{preds}:6: sample_id 's1' repeated in model 'a', strategy 1" in err
+
     def test_threshold_out_of_range_names_flag_not_group(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
         make_external_csv(preds, [f"s{i}" for i in range(10)], np.array([0, 1] * 5))
@@ -469,6 +486,30 @@ class TestPipeline:
         assert "labels must be binary 0/1" in err
         assert not (out / "predictions.csv").exists()
 
+    def test_repeated_external_sample_id_names_line(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        ids, labels = make_features_csv(features, n_pos=10, n_neg=10)
+        external = tmp_path / "external.csv"
+        write_predictions(
+            external,
+            [
+                PredictionSet(
+                    model_name="ext0",
+                    strategy_id="2",
+                    sample_ids=ids + ids[:1],
+                    true_labels=np.append(labels, 1 - labels[0]),
+                    scores=np.linspace(0.1, 0.9, labels.size + 1),
+                )
+            ],
+        )
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--external", str(external), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        bad_line = len(ids) + 2
+        assert f"{external}:{bad_line}: sample_id {ids[0]!r} repeated in model 'ext0', strategy 2" in err
+        assert not (out / "predictions.csv").exists()
+
     def test_missing_labels_rejected(self, tmp_path):
         features = tmp_path / "features.csv"
         rng = np.random.default_rng(0)
@@ -496,3 +537,18 @@ class TestRfecv:
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(["rfecv", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
+
+
+def test_cli_import_loads_no_scipy():
+    """Only `extract` needs scipy; importing the CLI must not load it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, coughrank.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -32,6 +32,25 @@ def test_metrics_demo_prints_each_models_threshold_auc_and_f1():
     ]
 
 
+def test_ranking_demo_puts_extra_trees_first():
+    out = run_demo("03_entropy_topsis_ranking.py")
+    assert "   1. Extra-Trees  C=1.000  S+=0.0000  S-=0.1119" in out.splitlines()
+
+
+def test_ensembles_demo_prints_both_verdicts_per_category():
+    winners = [
+        line
+        for line in run_demo("04_ensembles.py").splitlines()
+        if "ensemble winner" in line
+    ]
+    assert winners == [
+        "soft ensemble winner: Extra-Trees",
+        "hard ensemble winner: HGBoost",
+        "soft ensemble winner: Extra-Trees",
+        "hard ensemble winner: Extra-Trees",
+    ]
+
+
 def test_training_strategies_demo_runs():
     out = run_demo("05_training_strategies.py")
     for model in ("knn", "logreg"):
