@@ -9,7 +9,7 @@ from .audio import (
     extract_features,
     load_and_resample,
 )
-from .ensemble import ClosenessTable, EnsembleResult, fuse, hard_ensemble, soft_ensemble
+from .ensemble import ClosenessTable, EnsembleResult, fuse, soft_ensemble
 from .learn import Dataset, StrategyConfig, rfecv, run_strategy, smote, stratified_kfold
 from .mcdm import TopsisResult, WeightVector, entropy_weights, topsis
 from .metrics import (
@@ -41,7 +41,6 @@ __all__ = [
     "evaluate",
     "extract_features",
     "fuse",
-    "hard_ensemble",
     "load_and_resample",
     "rfecv",
     "run_strategy",

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 internal error, 2 input/validation error,
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -35,9 +34,6 @@ EXIT_DEGENERATE = 3
 
 IN_REPO_MODELS = ("knn", "logreg")
 STRATEGIES = (1, 2, 3)
-
-# labels.csv vocabulary, matched case-insensitively
-LABEL_VALUES = {"1": 1, "covid": 1, "positive": 1, "0": 0, "non-covid": 0, "negative": 0}
 
 # pipeline --config keys, each with its allowed values (None: any)
 PIPELINE_CONFIG = {"seed": None, "smote_k": None, "threshold_objective": METRIC_NAMES}
@@ -92,38 +88,6 @@ def write_manifest(out_dir, config, inputs, seed, artifacts):
     return manifest
 
 
-def _read_labels_csv(path, sample_ids):
-    """Labels of `sample_ids`: each id needs a row, and each row an id."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label"]:
-            raise InputError(f"{path}: expected header sample_id,label")
-        labels = {}
-        for row in reader:
-            if len(row) < 2:
-                raise InputError(f"{path}:{reader.line_num}: expected sample_id,label")
-            label = LABEL_VALUES.get(row[1].lower())
-            if label is None:
-                raise InputError(
-                    f"{path}:{reader.line_num}: unknown label {row[1]!r}, expected "
-                    "1/covid/positive or 0/non-covid/negative"
-                )
-            if row[0] not in sample_ids:
-                raise InputError(
-                    f"{path}:{reader.line_num}: no WAV file for sample_id {row[0]!r}"
-                )
-            if row[0] in labels:
-                raise InputError(
-                    f"{path}:{reader.line_num}: repeated sample_id {row[0]!r}"
-                )
-            labels[row[0]] = label
-    for sample_id in sample_ids:
-        if sample_id not in labels:
-            raise InputError(f"{path}: no row for sample_id {sample_id!r}")
-    return labels
-
-
 def cmd_extract(args):
     input_dir = Path(args.input_dir)
     wavs = sorted(p for p in input_dir.glob("*") if p.suffix.lower() == ".wav")
@@ -136,7 +100,7 @@ def cmd_extract(args):
                 f"{by_stem[wav.stem]} and {wav} would share the sample_id {wav.stem!r}"
             )
         by_stem[wav.stem] = wav
-    labels = _read_labels_csv(args.labels, by_stem) if args.labels else {}
+    labels = tables.read_labels(args.labels, by_stem) if args.labels else {}
     rows = []
     failures = 0
     for wav in wavs:

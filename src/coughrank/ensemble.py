@@ -86,13 +86,6 @@ def hard_points(ct, tie_eps=0.0):
     return points
 
 
-def hard_ensemble(ct, tie_eps=0.0):
-    """Sum per-strategy points and rank descending."""
-    points = hard_points(ct, tie_eps)
-    totals = points.sum(axis=1)
-    return totals, competition_ranks(totals)
-
-
 def fuse(ct, tie_eps=0.0):
     """Run both ensembles and name the winners.
 

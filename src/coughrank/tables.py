@@ -6,7 +6,6 @@ digits so values round-trip through parse -> serialize unchanged.
 """
 
 import csv
-from collections import OrderedDict
 
 import numpy as np
 
@@ -19,6 +18,12 @@ from .metrics import (
     METRIC_NAMES,
     PredictionSet,
 )
+
+FEATURES_HEADER = ["sample_id", "label"] + FEATURE_COLUMNS
+PREDICTIONS_HEADER = ["model", "strategy", "sample_id", "true_label", "score"]
+
+# labels.csv vocabulary, matched case-insensitively
+LABEL_VALUES = {"1": 1, "covid": 1, "positive": 1, "0": 0, "non-covid": 0, "negative": 0}
 
 
 def fmt(x):
@@ -33,19 +38,52 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_rows(path):
+def _rows(path, header):
+    """Yield (line number, row) for each row of a CSV file.
+
+    The first row must equal `header` and every later row must have
+    len(header) columns; otherwise ValueError names the file and line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required")
-        return header, list(reader)
+        if next(reader, None) != header:
+            shown = header if len(header) < 10 else header[:2] + ["..."]
+            raise ValueError(
+                f"{path}: expected the {len(header)}-column header {','.join(shown)}"
+            )
+        width = len(header)
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: expected {width} columns")
+            yield reader.line_num, row
+
+
+def read_labels(path, sample_ids):
+    """labels.csv: the label of each of `sample_ids`.
+
+    Each id needs a row, and each row an id; a row may not repeat an id.
+    """
+    labels = {}
+    for lineno, (sid, value) in _rows(path, ["sample_id", "label"]):
+        label = LABEL_VALUES.get(value.lower())
+        if label is None:
+            raise ValueError(
+                f"{path}:{lineno}: unknown label {value!r}, expected "
+                "1/covid/positive or 0/non-covid/negative"
+            )
+        if sid not in sample_ids:
+            raise ValueError(f"{path}:{lineno}: no WAV file for sample_id {sid!r}")
+        if sid in labels:
+            raise ValueError(f"{path}:{lineno}: repeated sample_id {sid!r}")
+        labels[sid] = label
+    for sid in sample_ids:
+        if sid not in labels:
+            raise ValueError(f"{path}: no row for sample_id {sid!r}")
+    return labels
 
 
 def write_features(path, rows):
     """features.csv: rows of (sample_id, label or None, 193 features)."""
-    header = ["sample_id", "label"] + FEATURE_COLUMNS
     out = []
     for sample_id, label, vec in rows:
         vec = np.asarray(vec)
@@ -54,22 +92,26 @@ def write_features(path, rows):
         out.append(
             [sample_id, "" if label is None else int(label)] + [fmt(v) for v in vec]
         )
-    _write_rows(path, header, out)
+    _write_rows(path, FEATURES_HEADER, out)
 
 
 def read_features(path):
-    """Parse features.csv into (sample_ids, labels or None, matrix)."""
-    header, rows = _read_rows(path)
-    expected = ["sample_id", "label"] + FEATURE_COLUMNS
-    if header != expected:
-        raise ValueError(f"{path}: unexpected header")
+    """Parse features.csv into (sample_ids, labels or None, matrix).
+
+    Each sample_id may appear once; a repeat names its file and line.
+    """
     ids, labels, values = [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(expected):
-            raise ValueError(f"{path}:{lineno}: wrong column count")
+    seen = set()
+    for lineno, row in _rows(path, FEATURES_HEADER):
+        if row[0] in seen:
+            raise ValueError(f"{path}:{lineno}: repeated sample_id {row[0]!r}")
+        seen.add(row[0])
         ids.append(row[0])
-        labels.append(None if row[1] == "" else int(row[1]))
-        values.append([float(v) for v in row[2:]])
+        try:
+            labels.append(None if row[1] == "" else int(row[1]))
+            values.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     has_labels = all(l is not None for l in labels)
     return ids, (labels if has_labels else None), np.asarray(values)
 
@@ -80,13 +122,13 @@ def write_predictions(path, prediction_sets):
     for ps in prediction_sets:
         for sid, label, score in zip(ps.sample_ids, ps.true_labels, ps.scores):
             rows.append([ps.model_name, ps.strategy_id, sid, int(label), fmt(score)])
-    _write_rows(path, ["model", "strategy", "sample_id", "true_label", "score"], rows)
+    _write_rows(path, PREDICTIONS_HEADER, rows)
 
 
-def _first_repeat(rows, model, strategy):
+def _first_repeat(path, model, strategy):
     """Line number and id of the first sample_id seen twice in one group."""
     seen = set()
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in _rows(path, PREDICTIONS_HEADER):
         if row[0] == model and row[1] == strategy:
             if row[2] in seen:
                 return lineno, row[2]
@@ -99,24 +141,22 @@ def read_predictions(path, threshold=0.5):
     A sample_id may appear once per (model, strategy) group; a repeat is
     reported with the file and line where it recurs.
     """
-    header, rows = _read_rows(path)
-    if header != ["model", "strategy", "sample_id", "true_label", "score"]:
-        raise ValueError(f"{path}: unexpected header")
-    groups = OrderedDict()
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 columns")
+    groups = {}
+    for lineno, (model, strategy, sid, label, score) in _rows(
+        path, PREDICTIONS_HEADER
+    ):
         try:
-            model, strategy, sid = row[0], row[1], row[2]
-            label, score = int(row[3]), float(row[4])
+            label, score = int(label), float(score)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        groups.setdefault((model, strategy), []).append((sid, label, score))
+        ids, labels, scores = groups.setdefault((model, strategy), ([], [], []))
+        ids.append(sid)
+        labels.append(label)
+        scores.append(score)
     out = []
-    for (model, strategy), entries in groups.items():
-        sample_ids = [e[0] for e in entries]
+    for (model, strategy), (sample_ids, labels, scores) in groups.items():
         if len(set(sample_ids)) != len(sample_ids):
-            lineno, sid = _first_repeat(rows, model, strategy)
+            lineno, sid = _first_repeat(path, model, strategy)
             raise ValueError(
                 f"{path}:{lineno}: sample_id {sid!r} repeated in model {model!r},"
                 f" strategy {strategy}"
@@ -126,8 +166,8 @@ def read_predictions(path, threshold=0.5):
                 model_name=model,
                 strategy_id=strategy,
                 sample_ids=sample_ids,
-                true_labels=np.array([e[1] for e in entries]),
-                scores=np.array([e[2] for e in entries]),
+                true_labels=np.array(labels),
+                scores=np.array(scores),
                 threshold=threshold,
             )
         except ValueError as exc:
@@ -144,14 +184,11 @@ def write_criteria(path, criteria):
 
 
 def read_criteria(path):
-    header, rows = _read_rows(path)
-    if header != ["name", "direction"]:
-        raise ValueError(f"{path}: unexpected header")
     criteria = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2 or row[1] not in (BENEFIT, COST):
-            raise ValueError(f"{path}:{lineno}: malformed criterion row")
-        criteria.append(CriterionSpec(row[0], row[1]))
+    for lineno, (name, direction) in _rows(path, ["name", "direction"]):
+        if direction not in (BENEFIT, COST):
+            raise ValueError(f"{path}:{lineno}: direction must be {BENEFIT} or {COST}")
+        criteria.append(CriterionSpec(name, direction))
     return criteria
 
 
@@ -166,16 +203,13 @@ def write_decision_matrix(path, dm):
 
 
 def read_decision_matrix(path, criteria):
-    header, rows = _read_rows(path)
-    expected = ["model"] + [c.name for c in criteria]
-    if header != expected:
-        raise ValueError(f"{path}: header does not match criteria file")
     names, values = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(expected):
-            raise ValueError(f"{path}:{lineno}: wrong column count")
+    for lineno, row in _rows(path, ["model"] + [c.name for c in criteria]):
         names.append(row[0])
-        values.append([float(v) for v in row[1:]])
+        try:
+            values.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return DecisionMatrix(
         alternatives=names, criteria=list(criteria), values=np.asarray(values)
     )

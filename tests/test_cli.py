@@ -9,6 +9,7 @@ import pytest
 from scipy.io import wavfile
 
 from coughrank.audio import FEATURE_COLUMNS
+from coughrank import cli
 from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main, read_config
 from coughrank.metrics import PredictionSet
 from coughrank.tables import read_features, write_features, write_predictions
@@ -94,8 +95,8 @@ class TestExtract:
 
     @pytest.mark.parametrize(
         "body, bad_line",
-        [("clip0,1\nclip1\n", 3), ("clip0,1\n\nclip1,0\n", 3)],
-        ids=["one_column", "blank_line"],
+        [("clip0,1\nclip1\n", 3), ("clip0,1\n\nclip1,0\n", 3), ("clip0,1\nclip1,0,extra\n", 3)],
+        ids=["one_column", "blank_line", "three_columns"],
     )
     def test_short_labels_row_is_input_error(self, tmp_path, capsys, body, bad_line):
         wav_dir = tmp_path / "wavs"
@@ -537,6 +538,26 @@ class TestRfecv:
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(["rfecv", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["pipeline", "rfecv"])
+def test_repeated_feature_sample_id_rejected_before_training(
+    tmp_path, capsys, monkeypatch, command
+):
+    features = tmp_path / "features.csv"
+    ids, _ = make_features_csv(features, n_pos=10, n_neg=10)
+    lines = features.read_text().splitlines(keepends=True)
+    features.write_text("".join(lines + [lines[5]]))
+
+    def no_training(*args, **kwargs):
+        pytest.fail("training started")
+
+    monkeypatch.setattr(cli, "run_strategies", no_training)
+    monkeypatch.setattr(cli, "rfecv", no_training)
+    out = tmp_path / "out"
+    assert main([command, str(features), "--out", str(out)]) == EXIT_INPUT
+    assert f"{features}:22: repeated sample_id {ids[4]!r}" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
 
 
 def test_cli_import_loads_no_scipy():

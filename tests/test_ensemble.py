@@ -4,7 +4,6 @@ import pytest
 from coughrank.ensemble import (
     ClosenessTable,
     fuse,
-    hard_ensemble,
     hard_points,
     soft_ensemble,
 )
@@ -125,7 +124,8 @@ class TestHardPoints:
 
 class TestHardEnsemble:
     def test_published_asymptomatic_totals(self):
-        totals, ranks = hard_ensemble(table(ASYMPTOMATIC))
+        result = fuse(table(ASYMPTOMATIC))
+        totals, ranks = result.hard_totals, result.hard_ranks
         # SVM rounds to 0.48 in strategy 1, tying AdaBoost at 4 points
         expected_totals = [26, 12, 25, 8, 17, 23, 13, 5, 12, 27]
         np.testing.assert_array_equal(totals, expected_totals)
@@ -134,7 +134,8 @@ class TestHardEnsemble:
         assert ranks[2] == 3  # RF
 
     def test_published_symptomatic_totals(self):
-        totals, ranks = hard_ensemble(table(SYMPTOMATIC))
+        result = fuse(table(SYMPTOMATIC))
+        totals, ranks = result.hard_totals, result.hard_ranks
         expected_totals = [28, 13, 25, 13, 19, 22, 19, 11, 8, 9]
         np.testing.assert_array_equal(totals, expected_totals)
         assert ranks[0] == 1  # Extra-Trees
@@ -144,8 +145,7 @@ class TestHardEnsemble:
         values = np.round(rng.permutation(10) / 10.0 + 0.04, 3).reshape(-1, 1)
         ct = ClosenessTable([f"m{i}" for i in range(10)], ["1"], values)
         _, soft_ranks = soft_ensemble(ct)
-        _, hard_ranks = hard_ensemble(ct)
-        np.testing.assert_array_equal(soft_ranks, hard_ranks)
+        np.testing.assert_array_equal(soft_ranks, fuse(ct).hard_ranks)
 
 
 class TestFuse:

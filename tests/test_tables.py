@@ -1,3 +1,7 @@
+import csv
+import re
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from coughrank.tables import (
     read_criteria,
     read_decision_matrix,
     read_features,
+    read_labels,
     read_predictions,
     write_closeness,
     write_criteria,
@@ -83,6 +88,30 @@ class TestFeaturesFile:
         with pytest.raises(ValueError):
             read_features(path)
 
+    @pytest.mark.parametrize("column, value", [(1, "x"), (7, "nan?")], ids=["label", "feature"])
+    def test_bad_value_on_late_line_reports_line(self, tmp_path, column, value):
+        path = tmp_path / "features.csv"
+        write_features(path, self.make_rows(30))
+        lines = path.read_text().splitlines()
+        row = lines[25].split(",")
+        row[column] = value
+        lines[25] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:26: .*{re.escape(value)}"):
+            read_features(path)
+
+    def test_repeated_sample_id_reports_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_features(path, self.make_rows(5))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + [lines[2]]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:7: repeated sample_id 'clip1'"):
+            read_features(path)
+
+
+# 40 valid rows over three interleaved groups
+GOOD_PREDICTION_ROWS = "".join(f"m{i % 3},1,s{i},{i % 2},0.{i % 9 + 1}\n" for i in range(40))
+
 
 class TestPredictionsFile:
     def make_sets(self):
@@ -114,12 +143,19 @@ class TestPredictionsFile:
             np.testing.assert_array_equal(back.true_labels, orig.true_labels)
             np.testing.assert_allclose(back.scores, orig.scores, rtol=1e-8)
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("m,1,s0,yes,0.5\n", 2),
+            (GOOD_PREDICTION_ROWS + "m0,2,s0,yes,0.5\n", 42),
+            (GOOD_PREDICTION_ROWS + "m0,2,s0,1,high\n", 42),
+        ],
+        ids=["label", "late_label", "late_score"],
+    )
+    def test_malformed_row_reports_line(self, tmp_path, body, line):
         path = tmp_path / "predictions.csv"
-        path.write_text(
-            "model,strategy,sample_id,true_label,score\nm,1,s0,yes,0.5\n"
-        )
-        with pytest.raises(ValueError, match=":2:"):
+        path.write_text("model,strategy,sample_id,true_label,score\n" + body)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
             read_predictions(path)
 
 
@@ -155,6 +191,29 @@ class TestDecisionMatrixFile:
         with pytest.raises(ValueError):
             read_decision_matrix(path, list(DEFAULT_CRITERIA)[:-1])
 
+    def test_bad_value_reports_line(self, tmp_path):
+        dm = load_fixture_matrix("asymptomatic", 1)
+        path = tmp_path / "dm.csv"
+        write_decision_matrix(path, dm)
+        lines = path.read_text().splitlines()
+        lines[8] = lines[8].rsplit(",", 1)[0] + ",n/a"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:9: .*'n/a'"):
+            read_decision_matrix(path, list(DEFAULT_CRITERIA))
+
+
+class TestLabelsFile:
+    def test_vocabulary(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label\nb,Negative\na,COVID\n")
+        assert read_labels(path, {"a", "b"}) == {"b": 0, "a": 1}
+
+    def test_third_column_reports_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label\na,1\nb,0,extra\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: expected 2 columns"):
+            read_labels(path, {"a", "b"})
+
 
 class TestClosenessFile:
     def test_round_trip(self, tmp_path):
@@ -171,3 +230,144 @@ class TestClosenessFile:
             "b,1,0.333333333\nb,2,0.2\n"
             "c,1,0.5\nc,2,0.666666667\n"
         )
+
+
+# The list-building predictions reader that `read_predictions` replaced,
+# kept as an oracle for the streaming one.
+def _oracle_read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, header row required")
+        return header, list(reader)
+
+
+def _oracle_first_repeat(rows, model, strategy):
+    seen = set()
+    for lineno, row in enumerate(rows, start=2):
+        if row[0] == model and row[1] == strategy:
+            if row[2] in seen:
+                return lineno, row[2]
+            seen.add(row[2])
+
+
+def oracle_read_predictions(path, threshold=0.5):
+    header, rows = _oracle_read_rows(path)
+    if header != ["model", "strategy", "sample_id", "true_label", "score"]:
+        raise ValueError(f"{path}: unexpected header")
+    groups = OrderedDict()
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 columns")
+        try:
+            model, strategy, sid = row[0], row[1], row[2]
+            label, score = int(row[3]), float(row[4])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        groups.setdefault((model, strategy), []).append((sid, label, score))
+    out = []
+    for (model, strategy), entries in groups.items():
+        sample_ids = [e[0] for e in entries]
+        if len(set(sample_ids)) != len(sample_ids):
+            lineno, sid = _oracle_first_repeat(rows, model, strategy)
+            raise ValueError(
+                f"{path}:{lineno}: sample_id {sid!r} repeated in model {model!r},"
+                f" strategy {strategy}"
+            )
+        try:
+            ps = PredictionSet(
+                model_name=model,
+                strategy_id=strategy,
+                sample_ids=sample_ids,
+                true_labels=np.array([e[1] for e in entries]),
+                scores=np.array([e[2] for e in entries]),
+                threshold=threshold,
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: model {model!r} in strategy {strategy}: {exc}"
+            ) from exc
+        out.append(ps)
+    return out
+
+
+def write_interleaved_predictions(path, seed, n_models=12, n_strategies=4, n_ids=25):
+    """Rows of every (model, strategy) group shuffled together. Ids hold
+    commas and quotes, and scores are written at full precision."""
+    rng = np.random.default_rng(seed)
+    ids = [f'clip "{i}", take {i % 3}' for i in range(n_ids)]
+    rows = []
+    for m in range(n_models):
+        for s in range(1, n_strategies + 1):
+            labels = rng.permutation(np.arange(n_ids) % 2)
+            for i in rng.permutation(n_ids):
+                rows.append([f"model,{m}", str(s), ids[i], int(labels[i]), repr(rng.uniform())])
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model", "strategy", "sample_id", "true_label", "score"])
+        writer.writerows(rows)
+
+
+def _location(path, exc):
+    """The `file:` or `file:line:` prefix of an error message."""
+    message = str(exc)
+    assert message.startswith(str(path))
+    return re.match(r":(\d+:)?", message[len(str(path)):]).group(0)
+
+
+class TestPredictionsOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("threshold", [0.5, 0.3])
+    def test_same_sets_as_list_building_reader(self, tmp_path, seed, threshold):
+        path = tmp_path / "predictions.csv"
+        write_interleaved_predictions(path, seed)
+        got = read_predictions(path, threshold=threshold)
+        want = oracle_read_predictions(path, threshold=threshold)
+        assert [(p.model_name, p.strategy_id) for p in got] == [
+            (p.model_name, p.strategy_id) for p in want
+        ]
+        assert len(want) == 48
+        for g, w in zip(got, want):
+            assert g.sample_ids == w.sample_ids
+            assert g.true_labels.dtype == w.true_labels.dtype
+            np.testing.assert_array_equal(g.true_labels, w.true_labels)
+            assert [float(x).hex() for x in g.scores] == [float(x).hex() for x in w.scores]
+            assert g.threshold == w.threshold == threshold
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["header", "empty", "short_row", "label", "score", "repeat", "non_binary"],
+    )
+    def test_same_error_location_as_list_building_reader(self, tmp_path, fault):
+        path = tmp_path / "predictions.csv"
+        write_interleaved_predictions(path, seed=4, n_models=3, n_strategies=2, n_ids=10)
+        lines = path.read_text().splitlines()
+        late = len(lines) - 3
+        model, strategy, sid, *_ = next(csv.reader([lines[late]]))
+        bad = f'"{model}",{strategy},"{sid.replace(chr(34), 2 * chr(34))}"'
+        if fault == "header":
+            lines[0] = "model,strategy,sample_id,label,score"
+        elif fault == "empty":
+            lines = []
+        elif fault == "short_row":
+            lines[late] = f'"{model}",{strategy},0.5'
+        elif fault == "label":
+            lines[late] = bad + ",yes,0.5"
+        elif fault == "score":
+            lines[late] = bad + ",1,high"
+        elif fault == "repeat":
+            lines.append(lines[late])
+        else:
+            lines[late] = bad + ",2,0.5"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as want:
+            oracle_read_predictions(path)
+        with pytest.raises(ValueError) as got:
+            read_predictions(path)
+        assert type(got.value) is type(want.value)
+        assert _location(path, got.value) == _location(path, want.value)
+        if fault in ("short_row", "label", "score", "repeat"):
+            assert _location(path, got.value) != ":"
