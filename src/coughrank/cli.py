@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .audio import DEFAULT_SAMPLE_RATE, extract_features, load_and_resample
 from .ensemble import ClosenessTable, fuse
-from .learn import DEFAULT_SEED, Dataset, StrategyConfig, rfecv, run_strategies
+from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
+from .learn import rfecv, run_strategies
 from .mcdm import entropy_weights, topsis
 from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, build_decision_matrix, evaluate
 from . import tables
@@ -35,8 +36,12 @@ EXIT_DEGENERATE = 3
 IN_REPO_MODELS = ("knn", "logreg")
 STRATEGIES = (1, 2, 3)
 
-# pipeline --config keys, each with its allowed values (None: any)
-PIPELINE_CONFIG = {"seed": None, "smote_k": None, "threshold_objective": METRIC_NAMES}
+# pipeline --config keys, each with a test of its value and what it asks for
+PIPELINE_CONFIG = {
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "smote_k": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "threshold_objective": (lambda v: v in METRIC_NAMES, f"one of {METRIC_NAMES}"),
+}
 
 
 class InputError(Exception):
@@ -60,9 +65,9 @@ def read_config(path):
             pass
         if key not in PIPELINE_CONFIG:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        allowed = PIPELINE_CONFIG[key]
-        if allowed and value not in allowed:
-            raise InputError(f"{path}:{lineno}: {key} must be one of {allowed}")
+        check, wanted = PIPELINE_CONFIG[key]
+        if not check(value):
+            raise InputError(f"{path}:{lineno}: {key} must be {wanted}")
         config[key] = value
     return config
 
@@ -274,11 +279,20 @@ def cmd_rank(args):
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
-def _load_dataset(features_csv):
+def _load_dataset(features_csv, folds):
+    """Labelled features with at least `folds` members of each class."""
     ids, labels, matrix = tables.read_features(features_csv)
     if labels is None:
         raise InputError(f"{features_csv}: label column required for training")
-    return Dataset(features=matrix, labels=np.array(labels), sample_ids=ids)
+    labels = np.array(labels)
+    for cls in (0, 1):
+        count = int(np.sum(labels == cls))
+        if count < folds:
+            raise InputError(
+                f"{features_csv}: class {cls} has {count} members; "
+                f"{folds}-fold cross-validation needs at least {folds}"
+            )
+    return Dataset(features=matrix, labels=labels, sample_ids=ids)
 
 
 def _read_external(path):
@@ -298,10 +312,10 @@ def cmd_pipeline(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = read_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", DEFAULT_SEED))
-    smote_k = int(config.get("smote_k", 5))
+    seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
+    smote_k = config.get("smote_k", 5)
     objective = config.get("threshold_objective", "f1")
-    ds = _load_dataset(args.features)
+    ds = _load_dataset(args.features, OUTER_FOLDS)
     external = _read_external(args.external) if args.external else []
     cells = [
         (model, StrategyConfig.standard(strategy_id))
@@ -336,7 +350,7 @@ def cmd_pipeline(args):
 
 
 def cmd_rfecv(args):
-    ds = _load_dataset(args.features)
+    ds = _load_dataset(args.features, args.folds)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     mask, curve = rfecv(ds, step=args.step, k_folds=args.folds, seed=seed)
     tables.write_rfecv_curve(args.out, curve)

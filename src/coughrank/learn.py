@@ -24,8 +24,9 @@ MODEL_DEFAULTS = {
     "knn": {"n_neighbors": 5},
     "logreg": {"l2_strength": 1.0},
 }
-# Size of the query-block x train x feature difference tensor of one
-# k-NN distance block; with its squared copy it stays within a 2 MiB L2.
+# Bytes of one k-NN query block's Gram rows (rows x n_train float64),
+# and of one chunk of its gathered candidate differences (pairs x d
+# float64).
 _KNN_BLOCK_BYTES = 2**20
 # Newton's method for logistic regression: the iteration cap, the
 # relative gradient tolerance, the Armijo fraction and how often one
@@ -119,9 +120,12 @@ def smote(minority, target_count, k_neighbors=5, seed=DEFAULT_SEED):
     n_new = target_count - m
     if n_new == 0:
         return np.empty((0, minority.shape[1]))
-    dists = np.linalg.norm(minority[:, None, :] - minority[None, :, :], axis=2)
-    np.fill_diagonal(dists, np.inf)
-    neighbors = np.argsort(dists, axis=1)[:, :k_neighbors]
+    # a row is among its own k + 1 nearest unless k + 1 exact duplicates
+    # of lower index come first; then it keeps the first k of those
+    nearest = _knn(minority, minority, k_neighbors + 1)
+    is_self = nearest == np.arange(m)[:, None]
+    is_self[~is_self.any(axis=1), -1] = True
+    neighbors = nearest[~is_self].reshape(m, k_neighbors)
     rng = np.random.default_rng(seed)
     base = rng.integers(0, m, size=n_new)
     pick = rng.integers(0, k_neighbors, size=n_new)
@@ -182,22 +186,64 @@ def train_knn(train, n_neighbors=5):
     )
 
 
-def _nearest_neighbors(model, features, k):
-    """Indices of the k nearest training points of each query, nearest first.
+def _knn(T, X, k):
+    """Indices of the k nearest rows of T to each row of X, nearest first.
 
-    Distances are computed a block of query rows at a time, so the
-    difference tensor stays near _KNN_BLOCK_BYTES; each row's distances
-    and their stable order do not depend on the block size.
+    Exact: each row of X gets the first k of a stable sort of its
+    distances np.linalg.norm(x - T, axis=-1), so ties go to the lower
+    index. A Gram-matrix screen picks the candidates a block of query
+    rows at a time, and only the candidates are measured exactly.
     """
-    X = model.scaler(np.asarray(features, dtype=np.float64))
-    T = model.train_features
-    rows = max(1, _KNN_BLOCK_BYTES // T.nbytes)
+    n, d = T.shape
+    # Rounding bound (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., 3.1): u = 2**-53, gamma_m = m u / (1 - m u).
+    # For a query x and a training row t let D = |x - t|^2 and
+    # S = |x|^2 + |t|^2 <= M, the largest S of the query.
+    # - The screen g = (|x|^2 + |t|^2) - 2 x.t: |x|^2, |t|^2 and x.t
+    #   err by at most gamma_d |x|^2, gamma_d |t|^2 and gamma_d |x||t|
+    #   in any summation order, 2|x||t| <= S, and the two additions
+    #   round once each, so |g - D| <= 2 gamma_{d+2} S <= 2 gamma M.
+    # - The exact distance r = fl(sqrt(sum fl(x_l - t_l)^2)) takes d + 4
+    #   roundings into r^2, so r^2 = D (1 + theta), |theta| <= gamma_{d+4}
+    #   =: gamma.
+    # Let g_k be the query's k-th smallest g. Its k rows with g <= g_k have
+    # r^2 <= (g_k + 2 gamma M)(1 + gamma); a row with g > g_k + tau has
+    # r^2 > (g_k + tau - 2 gamma M)(1 - gamma). Every g <= D + 2 gamma M
+    # and D <= 2S, so g_k <= 2M (1 + gamma), and the second bound is the
+    # larger once tau (1 - gamma) >= 4 gamma M (2 + gamma). Then that
+    # row's r is strictly larger than the k others', so it is not among
+    # the first k. tau = 16 gamma M leaves room for the rounding of
+    # g_k + tau and of M itself.
+    du = (d + 4) * np.finfo(np.float64).eps / 2
+    gamma = du / (1.0 - du)
+    sq_t = np.einsum("ij,ij->i", T, T)
+    rows = max(1, _KNN_BLOCK_BYTES // (8 * n))
+    pairs = max(1, _KNN_BLOCK_BYTES // (8 * d))
     nearest = np.empty((X.shape[0], k), dtype=np.intp)
     for start in range(0, X.shape[0], rows):
         Xb = X[start : start + rows]
-        dists = np.linalg.norm(Xb[:, None, :] - T[None], axis=2)
-        nearest[start : start + rows] = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        sq_x = np.einsum("ij,ij->i", Xb, Xb)
+        g = Xb @ T.T
+        g *= -2.0
+        g += sq_x[:, None] + sq_t
+        g_k = np.partition(g, k - 1, axis=1)[:, k - 1]
+        tau = 16.0 * gamma * (sq_x + sq_t.max())
+        qi, ti = np.nonzero(g <= (g_k + tau)[:, None])
+        dist = np.empty(qi.size)
+        for s in range(0, qi.size, pairs):
+            q, t = qi[s : s + pairs], ti[s : s + pairs]
+            dist[s : s + pairs] = np.linalg.norm(Xb[q] - T[t], axis=-1)
+        # qi is sorted, so each query's candidates stay together in order
+        ti = ti[np.lexsort((ti, dist, qi))]
+        first = np.searchsorted(qi, np.arange(Xb.shape[0]))
+        nearest[start : start + rows] = ti[first[:, None] + np.arange(k)]
     return nearest
+
+
+def _nearest_neighbors(model, features, k):
+    """Indices of the k nearest training points of each query, nearest first."""
+    X = model.scaler(np.asarray(features, dtype=np.float64))
+    return _knn(model.train_features, X, k)
 
 
 def predict_knn(model, features):

@@ -456,8 +456,25 @@ class TestPipeline:
         [
             ("threshold_objective = acc\nsmote-k = 3\n", 2),
             ("threshold_objective = auroc\n", 1),
+            ("seed = 4\nsmote_k = x\n", 2),
+            ("smote_k = 0\n", 1),
+            ("smote_k = true\n", 1),
+            ("smote_k = 2.5\n", 1),
+            ("seed = 1.5\n", 1),
+            ("seed = -1\n", 1),
+            ("# run\nseed = \"7\"\n", 2),
         ],
-        ids=["unknown_key", "unknown_objective"],
+        ids=[
+            "unknown_key",
+            "unknown_objective",
+            "smote_k_word",
+            "smote_k_zero",
+            "smote_k_bool",
+            "smote_k_float",
+            "seed_float",
+            "seed_negative",
+            "seed_string",
+        ],
     )
     def test_bad_config_rejected_before_training(
         self, tmp_path, capsys, body, bad_line
@@ -557,6 +574,31 @@ def test_repeated_feature_sample_id_rejected_before_training(
     out = tmp_path / "out"
     assert main([command, str(features), "--out", str(out)]) == EXIT_INPUT
     assert f"{features}:22: repeated sample_id {ids[4]!r}" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, n_pos, folds",
+    [(["pipeline"], 9, 10), (["rfecv", "--folds", "7"], 6, 7)],
+    ids=["pipeline", "rfecv"],
+)
+def test_too_few_class_members_rejected_before_training(
+    tmp_path, capsys, monkeypatch, argv, n_pos, folds
+):
+    features = tmp_path / "features.csv"
+    make_features_csv(features, n_pos=n_pos, n_neg=20)
+
+    def no_training(*args, **kwargs):
+        pytest.fail("training started")
+
+    monkeypatch.setattr(cli, "run_strategies", no_training)
+    monkeypatch.setattr(cli, "rfecv", no_training)
+    out = tmp_path / "out"
+    assert main([argv[0], str(features), *argv[1:], "--out", str(out)]) == EXIT_INPUT
+    assert (
+        f"{features}: class 1 has {n_pos} members; "
+        f"{folds}-fold cross-validation needs at least {folds}"
+    ) in capsys.readouterr().err
     assert not (out / "predictions.csv").exists()
 
 

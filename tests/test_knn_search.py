@@ -1,15 +1,21 @@
-"""The blocked k-NN neighbour search and the shared-order grid search,
-checked against the full-tensor code they replaced, kept here as oracles."""
+"""The k-NN neighbour search (a Gram-matrix screen and an exact re-rank),
+SMOTE built on it and the shared-order grid search, checked against the
+full-tensor code they replaced, kept here as oracles."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import coughrank.learn as learn
 from coughrank.learn import (
+    DEFAULT_SEED,
     INNER_FOLDS,
     Dataset,
+    KnnModel,
     predict_knn,
     predict_logreg,
+    smote,
     stratified_kfold,
     train_knn,
     train_logreg,
@@ -28,6 +34,33 @@ def nearest_oracle(model, features):
 
 def predict_knn_oracle(model, features):
     return model.train_labels[nearest_oracle(model, features)].mean(axis=1)
+
+
+def smote_oracle(minority, target_count, k_neighbors=5, seed=DEFAULT_SEED):
+    """Synthetic minority points interpolated toward nearest neighbors.
+
+    Each synthetic point is x + u * (nn - x) with u uniform in [0, 1]
+    and nn one of x's k nearest minority neighbors (Euclidean).
+    Returns target_count - len(minority) new rows.
+    """
+    minority = np.asarray(minority, dtype=np.float64)
+    m = minority.shape[0]
+    if not (m > k_neighbors >= 1):
+        raise ValueError("require len(minority) > k_neighbors >= 1")
+    if target_count < m:
+        raise ValueError("target_count must be >= current minority count")
+    n_new = target_count - m
+    if n_new == 0:
+        return np.empty((0, minority.shape[1]))
+    dists = np.linalg.norm(minority[:, None, :] - minority[None, :, :], axis=2)
+    np.fill_diagonal(dists, np.inf)
+    neighbors = np.argsort(dists, axis=1)[:, :k_neighbors]
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, m, size=n_new)
+    pick = rng.integers(0, k_neighbors, size=n_new)
+    u = rng.uniform(0.0, 1.0, size=n_new)
+    nn = minority[neighbors[base, pick]]
+    return minority[base] + u[:, None] * (nn - minority[base])
 
 
 _ORACLE_TRAINERS = {
@@ -75,6 +108,19 @@ def assert_matches_oracle(model, queries):
     assert np.array_equal(new, old)
 
 
+def unscaled_model(T, k):
+    """A k-NN model that measures queries exactly as given."""
+    labels = np.arange(len(T)) % 2
+    return KnnModel(np.asarray(T, dtype=np.float64), labels, k, lambda X: X)
+
+
+def feature_like(rng, m, d=193):
+    """Rows on feature-family scales: offsets up to 250, spreads 0.05 to 30."""
+    centre = rng.uniform(-250, 60, d)
+    spread = np.exp(rng.uniform(np.log(0.05), np.log(30), d))
+    return centre + spread * rng.normal(size=(m, d))
+
+
 class TestNeighbourSearch:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_data(self, seed):
@@ -101,7 +147,7 @@ class TestNeighbourSearch:
     def test_queries_span_many_blocks(self, monkeypatch, rows_per_block):
         train = noisy_dataset(30, 40, n_features=8, seed=4)
         model = train_knn(train, n_neighbors=7)
-        row_bytes = model.train_features.nbytes
+        row_bytes = 8 * model.train_features.shape[0]
         monkeypatch.setattr(learn, "_KNN_BLOCK_BYTES", rows_per_block * row_bytes)
         queries = np.random.default_rng(5).normal(size=(23, 8))
         assert_matches_oracle(model, queries)
@@ -117,6 +163,130 @@ class TestNeighbourSearch:
         queries = np.random.default_rng(8).normal(size=(6, 5))
         assert_matches_oracle(model, queries)
         np.testing.assert_array_equal(predict_knn(model, queries), np.full(6, 9 / 20))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_ties_around_kth_distance(self, seed):
+        # 30 rows a few ulps from radius 20 of the query, 3 nearer, 7 farther;
+        # the k-th distance falls among the near-ties
+        rng = np.random.default_rng(seed)
+        query = rng.normal(size=(1, 193))
+        directions = rng.normal(size=(40, 193))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = 20.0 * (1 + rng.integers(-4, 5, size=40) * np.finfo(float).eps)
+        radii[:3], radii[33:] = 10.0, 30.0
+        order = rng.permutation(40)
+        T = query + (radii[:, None] * directions)[order]
+        model = unscaled_model(T, 4 + 5 * seed)
+        dists = np.linalg.norm(query - model.train_features, axis=1)
+        kth = np.sort(dists)[model.n_neighbors - 1]
+        assert np.sum(np.abs(dists - kth) <= 64 * np.spacing(kth)) >= 20
+        assert_matches_oracle(model, query)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_queries_equal_training_rows_with_duplicates(self, k):
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(25, 193))
+        X = np.vstack([base, base[:10], base[:4], base[:4]])
+        y = rng.integers(0, 2, size=len(X))
+        y[:2] = [0, 1]
+        model = train_knn(Dataset(X, y, [f"t{i}" for i in range(len(X))]), k)
+        assert_matches_oracle(model, X)
+
+    def test_huge_scale_column_and_constant_column(self):
+        train = noisy_dataset(40, 60, n_features=20, seed=12)
+        train.features[:, 0] *= 1e6
+        train.features[:, 1] = 3.0
+        model = train_knn(train, n_neighbors=6)
+        queries = np.random.default_rng(13).normal(size=(30, 20))
+        queries[:, 0] *= 1e6
+        queries[:, 1] = 3.0
+        queries[::3, 1] = 3.0 + 1e4
+        assert_matches_oracle(model, queries)
+
+    def test_one_feature(self):
+        rng = np.random.default_rng(14)
+        X = np.concatenate([rng.integers(0, 6, size=30), rng.normal(size=20)])[:, None]
+        y = rng.integers(0, 2, size=X.shape[0])
+        y[:2] = [0, 1]
+        model = train_knn(Dataset(X, y, [f"t{i}" for i in range(len(X))]), 7)
+        queries = np.concatenate([np.arange(-1.0, 7.0, 0.5), rng.normal(size=10)])
+        assert_matches_oracle(model, queries[:, None])
+
+    def test_k_equals_training_size_across_blocks(self, monkeypatch):
+        train = noisy_dataset(14, 16, n_features=193, seed=15)
+        model = train_knn(train, n_neighbors=30)
+        monkeypatch.setattr(learn, "_KNN_BLOCK_BYTES", 3 * 8 * 30)
+        queries = np.vstack(
+            [train.features[:5], np.random.default_rng(16).normal(size=(8, 193))]
+        )
+        assert_matches_oracle(model, queries)
+
+    def test_seeded_1000_by_193(self):
+        train = noisy_dataset(333, 667, n_features=193, seed=17)
+        model = train_knn(train, n_neighbors=8)
+        queries = np.vstack(
+            [train.features[::4], np.random.default_rng(18).normal(size=(100, 193))]
+        )
+        got = learn._nearest_neighbors(model, queries, model.n_neighbors)
+        for start in range(0, len(queries), 25):
+            block = slice(start, start + 25)
+            want = nearest_oracle(model, queries[block])
+            np.testing.assert_array_equal(got[block], want)
+
+
+class TestSmote:
+    @pytest.mark.parametrize(
+        "m, k, target, seed",
+        [
+            (90, 5, 180, 0),
+            (90, 1, 95, 1),
+            (90, 8, 400, 2),
+            (300, 5, 600, 3),
+            (300, 3, 420, 4),
+        ],
+    )
+    def test_tie_free_minority_matches_oracle(self, m, k, target, seed):
+        minority = feature_like(np.random.default_rng(seed), m)
+        got = smote(minority, target, k_neighbors=k, seed=seed)
+        want = smote_oracle(minority, target, k_neighbors=k, seed=seed)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_duplicate_rows_pick_an_oracle_distance(self, k):
+        # rows 0-5 occur five times, so for some copies k + 1 others are
+        # exact duplicates that come first
+        rng = np.random.default_rng(20 + k)
+        base = feature_like(rng, 20)
+        minority = np.vstack([base, base[:12]] + [base[:6]] * 3)
+        m, target, seed = len(minority), len(minority) + 600, 7
+        got = smote(minority, target, k_neighbors=k, seed=seed)
+        draws = np.random.default_rng(seed)
+        rows = draws.integers(0, m, size=target - m)
+        picks = draws.integers(0, k, size=target - m)
+        u = draws.uniform(0.0, 1.0, size=target - m)
+        dists = np.linalg.norm(minority[:, None] - minority[None], axis=2)
+        np.fill_diagonal(dists, np.inf)
+        oracle_dists = np.sort(dists, axis=1)[:, :k]
+        tied = 0
+        for synth, b, p, frac in zip(got, rows, picks, u):
+            others = np.flatnonzero(dists[b] == oracle_dists[b, p])
+            tied += len(others) > 1
+            x = minority[b]
+            assert any(
+                np.array_equal(synth, x + frac * (minority[j] - x)) for j in others
+            )
+        assert tied > 0
+
+    def test_memory_peak_on_300_by_193(self):
+        minority = feature_like(np.random.default_rng(30), 300)
+        tracemalloc.start()
+        try:
+            smote(minority, 600, k_neighbors=5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestGridSearch:
