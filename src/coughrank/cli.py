@@ -21,7 +21,7 @@ from . import __version__
 from .audio import DEFAULT_SAMPLE_RATE, extract_features, load_and_resample
 from .ensemble import ClosenessTable, fuse
 from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
-from .learn import rfecv, run_strategies
+from .learn import rfecv, run_strategies, stratified_kfold
 from .mcdm import entropy_weights, topsis
 from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, build_decision_matrix, evaluate
 from . import tables
@@ -38,7 +38,6 @@ STRATEGIES = (1, 2, 3)
 
 # pipeline --config keys, each with a test of its value and what it asks for
 PIPELINE_CONFIG = {
-    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "smote_k": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "threshold_objective": (lambda v: v in METRIC_NAMES, f"one of {METRIC_NAMES}"),
 }
@@ -70,6 +69,13 @@ def read_config(path):
             raise InputError(f"{path}:{lineno}: {key} must be {wanted}")
         config[key] = value
     return config
+
+
+def _seed(text):
+    """argparse type of --seed: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _sha256(path):
@@ -185,7 +191,7 @@ def cmd_evaluate(args):
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
-def _rank_matrices(matrices, out_dir, tie_eps):
+def _rank_matrices(matrices, out_dir):
     """Weights + TOPSIS per matrix, ensemble across them.
 
     `matrices` maps strategy id -> DecisionMatrix with identical model
@@ -219,7 +225,7 @@ def _rank_matrices(matrices, out_dir, tie_eps):
             m: result.closeness[dm.alternatives.index(m)] for m in models
         }
     ct = ClosenessTable(models=models, strategies=strategies, closeness=closeness)
-    result = fuse(ct, tie_eps=tie_eps)
+    result = fuse(ct)
     tables.write_closeness(out_dir / "closeness.csv", ct)
     tables.write_ensemble_report(out_dir / "ensemble_report.csv", result)
     report_json["ensemble"] = {
@@ -265,12 +271,12 @@ def cmd_rank(args):
         dm.alternatives = [dm.alternatives[k] for k in reorder]
         dm.values = dm.values[reorder]
         matrices[str(i)] = dm
-    result, report_json, degenerate = _rank_matrices(matrices, out_dir, args.tie_eps)
+    result, report_json, degenerate = _rank_matrices(matrices, out_dir)
     manifest = write_manifest(
         out_dir,
-        {"tie_eps": args.tie_eps},
+        {},
         list(args.matrices) + ([args.criteria] if args.criteria else []),
-        args.seed,
+        None,
         sorted(out_dir.glob("*.csv")),
     )
     _write_report_json(out_dir, report_json, manifest)
@@ -295,6 +301,19 @@ def _load_dataset(features_csv, folds):
     return Dataset(features=matrix, labels=labels, sample_ids=ids)
 
 
+def _check_smote_k(ds, smote_k, seed, config_path):
+    """SMOTE needs more than smote_k minority rows in each imbalanced outer
+    training fold of run_strategies (as the default 5 always has here)."""
+    plan = stratified_kfold(ds.labels, OUTER_FOLDS, seed=seed)
+    folds = [np.bincount(ds.labels[plan.assignments != f], minlength=2) for f in range(OUTER_FOLDS)]
+    count, cls = min([(c.min(), c.argmin()) for c in folds if c[0] != c[1]], default=(np.inf, 0))
+    if count <= smote_k:
+        raise InputError(
+            f"{config_path}: smote_k = {smote_k} needs more than {smote_k} minority "
+            f"rows per training fold; class {cls} has {count} in its smallest"
+        )
+
+
 def _read_external(path):
     """External prediction sets; none may take an in-repo model's place."""
     in_repo = {str(s) for s in STRATEGIES}
@@ -312,10 +331,11 @@ def cmd_pipeline(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = read_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
     smote_k = config.get("smote_k", 5)
     objective = config.get("threshold_objective", "f1")
     ds = _load_dataset(args.features, OUTER_FOLDS)
+    if "smote_k" in config:
+        _check_smote_k(ds, smote_k, args.seed, args.config)
     external = _read_external(args.external) if args.external else []
     cells = [
         (model, StrategyConfig.standard(strategy_id))
@@ -324,23 +344,21 @@ def cmd_pipeline(args):
     ]
     log.info("training %d (strategy, model) cells", len(cells))
     prediction_sets = run_strategies(
-        ds, cells, seed=seed, smote_k=smote_k, threshold_objective=objective
+        ds, cells, seed=args.seed, smote_k=smote_k, threshold_objective=objective
     )
     tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
     sourced = [(args.features, ps) for ps in prediction_sets]
     sourced += [(args.external, ps) for ps in external]
     matrices, degenerate = _write_matrices(out_dir, sourced, list(DEFAULT_CRITERIA))
-    result, report_json, rank_degenerate = _rank_matrices(
-        matrices, out_dir, args.tie_eps
-    )
+    result, report_json, rank_degenerate = _rank_matrices(matrices, out_dir)
     degenerate = degenerate or rank_degenerate
     inputs = [args.features] + ([args.external] if args.external else [])
     inputs += [args.config] if args.config else []
     manifest = write_manifest(
         out_dir,
-        {"smote_k": smote_k, "threshold_objective": objective, "tie_eps": args.tie_eps},
+        {"smote_k": smote_k, "threshold_objective": objective},
         inputs,
-        seed,
+        args.seed,
         sorted(out_dir.glob("*.csv")),
     )
     _write_report_json(out_dir, report_json, manifest)
@@ -351,8 +369,7 @@ def cmd_pipeline(args):
 
 def cmd_rfecv(args):
     ds = _load_dataset(args.features, args.folds)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    mask, curve = rfecv(ds, step=args.step, k_folds=args.folds, seed=seed)
+    mask, curve = rfecv(ds, step=args.step, k_folds=args.folds, seed=args.seed)
     tables.write_rfecv_curve(args.out, curve)
     selected = [name for name, keep in zip(tables.FEATURE_COLUMNS, mask) if keep]
     print(f"selected {int(mask.sum())} features")
@@ -389,18 +406,15 @@ def build_parser():
     p = sub.add_parser("rank", help="entropy weights + TOPSIS + ensembles")
     p.add_argument("matrices", nargs="+", help="decision_matrix.csv files")
     p.add_argument("--criteria", help="criteria.csv (default: the standard 8)")
-    p.add_argument("--tie-eps", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("pipeline", help="full run: train, evaluate, rank, ensemble")
     p.add_argument("features", help="features.csv with labels")
     p.add_argument("--external", help="predictions.csv for out-of-repo models")
-    p.add_argument("--tie-eps", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("rfecv", help="recursive feature elimination curve")
@@ -408,7 +422,7 @@ def build_parser():
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--out", required=True, help="output rfecv_curve.csv")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_rfecv)
     return parser
 

@@ -56,44 +56,24 @@ def soft_ensemble(ct):
     return scores, competition_ranks(scores)
 
 
-def hard_points(ct, tie_eps=0.0):
+def hard_points(ct):
     """Per-strategy points: m + 1 - competition rank of the closeness.
 
-    Closeness values are rounded to 2 decimals first; values within
-    `tie_eps` of each other after rounding form one tied cluster and
-    share the cluster's best point.
+    Closeness values are rounded to TIE_DECIMALS first, so values that
+    round alike share the better point.
     """
-    if tie_eps < 0:
-        raise ValueError("tie_eps must be nonnegative")
-    m, t = ct.closeness.shape
-    points = np.zeros((m, t), dtype=int)
     rounded = np.round(ct.closeness, TIE_DECIMALS)
-    for j in range(t):
-        col = rounded[:, j]
-        order = np.argsort(-col, kind="stable")
-        cluster_of = np.empty(m, dtype=int)
-        clusters = []
-        for idx in order:
-            if clusters and clusters[-1][-1] - col[idx] <= tie_eps:
-                clusters[-1].append(col[idx])
-            else:
-                clusters.append([col[idx]])
-            cluster_of[idx] = len(clusters) - 1
-        # competition rank of each cluster = 1 + members in better clusters
-        sizes = [len(c) for c in clusters]
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        points[:, j] = m - starts[cluster_of]
-    return points
+    return np.column_stack([len(rounded) + 1 - competition_ranks(c) for c in rounded.T])
 
 
-def fuse(ct, tie_eps=0.0):
+def fuse(ct):
     """Run both ensembles and name the winners.
 
     A tie for soft_best breaks by hard total, then model name; ties
     for hard_best break by soft score, then model name.
     """
     soft_scores, soft_ranks = soft_ensemble(ct)
-    points = hard_points(ct, tie_eps)
+    points = hard_points(ct)
     hard_totals = points.sum(axis=1)
     hard_ranks = competition_ranks(hard_totals)
     order = np.arange(len(ct.models))

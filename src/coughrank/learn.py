@@ -74,13 +74,16 @@ class StrategyConfig:
     """
 
     id: int
-    use_smote: bool
+
+    @property
+    def use_smote(self):
+        return self.id != 1
 
     @classmethod
     def standard(cls, strategy_id):
         if strategy_id not in (1, 2, 3):
             raise ValueError(f"unknown strategy id {strategy_id}")
-        return cls(strategy_id, use_smote=strategy_id != 1)
+        return cls(strategy_id)
 
 
 def stratified_kfold(labels, k, seed=DEFAULT_SEED):

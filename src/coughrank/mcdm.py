@@ -81,14 +81,10 @@ def ideal_solutions(weighted, cost_mask):
     return v_plus, v_minus
 
 
-def competition_ranks(scores, descending=True):
-    """1-2-2-4 style ranks; tied values share the better rank."""
+def competition_ranks(scores):
+    """1-2-2-4 style ranks: 1 + the number of strictly higher scores."""
     scores = np.asarray(scores, dtype=np.float64)
-    ranks = np.empty(scores.size, dtype=int)
-    for i, s in enumerate(scores):
-        better = scores > s if descending else scores < s
-        ranks[i] = 1 + int(better.sum())
-    return ranks
+    return 1 + scores.size - np.searchsorted(np.sort(scores), scores, side="right")
 
 
 def topsis(dm, wv=None):

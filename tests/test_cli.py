@@ -63,10 +63,8 @@ def make_external_csv(path, sample_ids, labels, n_models=8, seed=1):
 class TestReadConfig:
     def test_parses_values_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nseed = 7\nthreshold_objective = auc\nsmote_k = 3\n")
-        assert read_config(path) == {
-            "seed": 7, "threshold_objective": "auc", "smote_k": 3
-        }
+        path.write_text("# comment\nthreshold_objective = auc\nsmote_k = 3\n")
+        assert read_config(path) == {"threshold_objective": "auc", "smote_k": 3}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -349,6 +347,9 @@ class TestRank:
         ["evaluate", "p.csv", "--out", "o", "--config", "run.cfg"],
         ["evaluate", "p.csv", "--out", "o", "--seed", "1"],
         ["rank", "m.csv", "--out", "o", "--config", "run.cfg"],
+        ["rank", "m.csv", "--out", "o", "--seed", "1"],
+        ["rank", "m.csv", "--out", "o", "--tie-eps", "0.1"],
+        ["pipeline", "f.csv", "--out", "o", "--tie-eps", "0.1"],
         ["rfecv", "f.csv", "--out", "c.csv", "--config", "run.cfg"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
@@ -456,24 +457,20 @@ class TestPipeline:
         [
             ("threshold_objective = acc\nsmote-k = 3\n", 2),
             ("threshold_objective = auroc\n", 1),
-            ("seed = 4\nsmote_k = x\n", 2),
+            ("seed = 7\n", 1),
+            ("threshold_objective = f1\nsmote_k = x\n", 2),
             ("smote_k = 0\n", 1),
             ("smote_k = true\n", 1),
             ("smote_k = 2.5\n", 1),
-            ("seed = 1.5\n", 1),
-            ("seed = -1\n", 1),
-            ("# run\nseed = \"7\"\n", 2),
         ],
         ids=[
             "unknown_key",
             "unknown_objective",
+            "seed_key",
             "smote_k_word",
             "smote_k_zero",
             "smote_k_bool",
             "smote_k_float",
-            "seed_float",
-            "seed_negative",
-            "seed_string",
         ],
     )
     def test_bad_config_rejected_before_training(
@@ -602,16 +599,58 @@ def test_too_few_class_members_rejected_before_training(
     assert not (out / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["1.5", "-1", '"7"'], ids=["float", "negative", "string"])
+@pytest.mark.parametrize("command", ["pipeline", "rfecv"])
+def test_bad_seed_rejected_before_reading(tmp_path, capsys, monkeypatch, command, seed):
+    def no_reading(*args, **kwargs):
+        pytest.fail("features read")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_reading)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "features.csv"), "--seed", seed, "--out", str(out)])
+    assert exc.value.code == EXIT_INPUT
+    assert f"argument --seed: must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("smote_k, trains", [(10, False), (9, True)])
+def test_smote_k_checked_against_training_folds(
+    tmp_path, capsys, monkeypatch, smote_k, trains
+):
+    # 12 positives over 10 folds leave 10 or 11 in each training fold
+    features = tmp_path / "features.csv"
+    make_features_csv(features, n_pos=12, n_neg=20)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"smote_k = {smote_k}\n")
+
+    def training(*args, **kwargs):
+        raise cli.InputError("training started")
+
+    monkeypatch.setattr(cli, "run_strategies", training)
+    out = tmp_path / "out"
+    code = main(["pipeline", str(features), "--config", str(config), "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert ("training started" in err) == trains
+    if not trains:
+        assert (
+            f"{config}: smote_k = 10 needs more than 10 minority rows per "
+            "training fold; class 1 has 10 in its smallest"
+        ) in err
+
+
 def test_cli_import_loads_no_scipy():
-    """Only `extract` needs scipy; importing the CLI must not load it."""
+    """Only `extract` needs scipy; importing the CLI must not load it, and
+    importing the package alone loads none of its modules."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, coughrank.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    for statement, prefix in [("import coughrank.cli", "scipy"), ("import coughrank", "coughrank.")]:
+        probe = f"import sys; {statement}; print([m for m in sys.modules if m.startswith({prefix!r})])"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", statement

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coughrank.ensemble import (
+    TIE_DECIMALS,
     ClosenessTable,
     fuse,
     hard_points,
@@ -35,6 +36,30 @@ SYMPTOMATIC = np.array([
     [0.457, 0.511, 0.362],
     [0.176, 0.467, 0.662],
 ])
+
+
+def cluster_points_oracle(ct, tie_eps=0.0):
+    """The former hard_points: a tied cluster per run of rounded values
+    within tie_eps, each member taking the cluster's best point."""
+    m, t = ct.closeness.shape
+    points = np.zeros((m, t), dtype=int)
+    rounded = np.round(ct.closeness, TIE_DECIMALS)
+    for j in range(t):
+        col = rounded[:, j]
+        order = np.argsort(-col, kind="stable")
+        cluster_of = np.empty(m, dtype=int)
+        clusters = []
+        for idx in order:
+            if clusters and clusters[-1][-1] - col[idx] <= tie_eps:
+                clusters[-1].append(col[idx])
+            else:
+                clusters.append([col[idx]])
+            cluster_of[idx] = len(clusters) - 1
+        # competition rank of each cluster = 1 + members in better clusters
+        sizes = [len(c) for c in clusters]
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        points[:, j] = m - starts[cluster_of]
+    return points
 
 
 def table(values):
@@ -98,9 +123,20 @@ class TestHardPoints:
         assert points[0] == points[1] == 3
         assert points[2] == 1
 
-    def test_negative_tie_eps_rejected(self):
-        with pytest.raises(ValueError):
-            hard_points(table(ASYMPTOMATIC), tie_eps=-0.1)
+    def test_matches_cluster_oracle_on_heavy_ties(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            m, t = int(rng.integers(2, 161)), int(rng.integers(1, 4))
+            levels = int(rng.integers(1, 40))
+            # few distinct 2-decimal values, some nudged to round back onto them
+            values = rng.integers(0, levels + 1, (m, t)) / 100.0
+            values += rng.choice([0.0, 0.0, -0.004, 0.003, 0.005], (m, t))
+            ct = ClosenessTable(
+                [f"m{i}" for i in range(m)],
+                [str(j) for j in range(t)],
+                np.clip(values, 0.0, 1.0),
+            )
+            np.testing.assert_array_equal(hard_points(ct), cluster_points_oracle(ct))
 
     def test_points_bounds_and_tie_consistency(self):
         rng = np.random.default_rng(0)

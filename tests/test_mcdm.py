@@ -299,6 +299,16 @@ class TestTopsis:
             topsis(dm, WeightVector(np.array([0.5, 0.5])))
 
 
+def competition_ranks_oracle(scores):
+    """The former per-element loop: 1 + the number of strictly higher scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ranks = np.empty(scores.size, dtype=int)
+    for i, s in enumerate(scores):
+        better = scores > s
+        ranks[i] = 1 + int(better.sum())
+    return ranks
+
+
 class TestCompetitionRanks:
     def test_distinct(self):
         np.testing.assert_array_equal(
@@ -309,6 +319,18 @@ class TestCompetitionRanks:
         np.testing.assert_array_equal(
             competition_ranks(np.array([0.9, 0.9, 0.5, 0.1])), [1, 1, 3, 4]
         )
+
+    def test_matches_loop_oracle_on_heavy_ties(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            m, t = int(rng.integers(2, 161)), int(rng.integers(1, 4))
+            # closeness-like columns with few distinct values, and their
+            # integer row sums as the hard ensemble ranks them
+            table = rng.integers(0, int(rng.integers(1, 40)) + 1, (m, t)) / 100.0
+            for scores in [*table.T, table.mean(axis=1), (table * 100).astype(int).sum(axis=1)]:
+                np.testing.assert_array_equal(
+                    competition_ranks(scores), competition_ranks_oracle(scores)
+                )
 
 
 def test_vector_normalize_zero_column():
