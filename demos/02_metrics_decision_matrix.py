@@ -24,8 +24,7 @@ ids = [f"s{i:03d}" for i in range(n)]
 reports = {}
 for name, sep in (("strong", 0.8), ("middling", 0.45), ("weak", 0.15)):
     scores = np.clip(0.5 + (labels - 0.5) * sep + rng.normal(0, 0.15, n), 0.01, 0.99)
-    preds = PredictionSet(name, "1", ids, labels, scores)
-    best_t = threshold_sweep(preds, objective="f1")
+    best_t = threshold_sweep(labels, scores, objective="f1")
     preds = PredictionSet(name, "1", ids, labels, scores, threshold=best_t)
     reports[name] = evaluate(preds)
     print(f"{name:9s} threshold {best_t:.2f}  auc {reports[name].auc:.3f}  f1 {reports[name].f1:.3f}")

@@ -21,7 +21,7 @@ from . import __version__
 from .audio import DEFAULT_SAMPLE_RATE, extract_features, load_and_resample
 from .ensemble import ClosenessTable, fuse
 from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
-from .learn import rfecv, run_strategies, stratified_kfold
+from .learn import rfecv, run_strategies, stratified_splits
 from .mcdm import entropy_weights, topsis
 from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, build_decision_matrix, evaluate
 from . import tables
@@ -71,11 +71,17 @@ def read_config(path):
     return config
 
 
-def _seed(text):
-    """argparse type of --seed: an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _int_in(low, high=None):
+    """argparse type: a decimal integer in low .. high (no upper bound if None)."""
+    wanted = f"an integer >= {low}" if high is None else f"an integer in {low} .. {high}"
+
+    def parse(text):
+        value = int(text) if text.isdecimal() else None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _sha256(path):
@@ -191,19 +197,21 @@ def cmd_evaluate(args):
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
-def _rank_matrices(matrices, out_dir):
+def _rank_matrices(matrices, out_dir, sources):
     """Weights + TOPSIS per matrix, ensemble across them.
 
     `matrices` maps strategy id -> DecisionMatrix with identical model
-    sets in identical order.
+    sets in identical order; `sources` maps it to its name in errors.
     """
     strategies = list(matrices)
-    model_sets = [tuple(dm.alternatives) for dm in matrices.values()]
-    canonical = sorted(model_sets[0])
-    for ms in model_sets:
-        if sorted(ms) != canonical:
+    models = list(matrices[strategies[0]].alternatives)
+    for strategy, dm in matrices.items():
+        if sorted(dm.alternatives) != sorted(models):
             raise InputError("matrices disagree on the model set")
-    models = list(model_sets[0])
+        if np.all(dm.values == dm.values[0]):
+            raise InputError(
+                f"{sources[strategy]}: all criteria are constant; weights undefined"
+            )
     closeness = np.empty((len(models), len(strategies)))
     report_json = {"weights": {}, "topsis": {}}
     degenerate = False
@@ -271,7 +279,8 @@ def cmd_rank(args):
         dm.alternatives = [dm.alternatives[k] for k in reorder]
         dm.values = dm.values[reorder]
         matrices[str(i)] = dm
-    result, report_json, degenerate = _rank_matrices(matrices, out_dir)
+    sources = {str(i): path for i, path in enumerate(args.matrices, start=1)}
+    result, report_json, degenerate = _rank_matrices(matrices, out_dir, sources)
     manifest = write_manifest(
         out_dir,
         {},
@@ -304,8 +313,8 @@ def _load_dataset(features_csv, folds):
 def _check_smote_k(ds, smote_k, seed, config_path):
     """SMOTE needs more than smote_k minority rows in each imbalanced outer
     training fold of run_strategies (as the default 5 always has here)."""
-    plan = stratified_kfold(ds.labels, OUTER_FOLDS, seed=seed)
-    folds = [np.bincount(ds.labels[plan.assignments != f], minlength=2) for f in range(OUTER_FOLDS)]
+    splits = stratified_splits(ds.labels, OUTER_FOLDS, seed)
+    folds = [np.bincount(ds.labels[tr], minlength=2) for tr, _ in splits]
     count, cls = min([(c.min(), c.argmin()) for c in folds if c[0] != c[1]], default=(np.inf, 0))
     if count <= smote_k:
         raise InputError(
@@ -350,7 +359,8 @@ def cmd_pipeline(args):
     sourced = [(args.features, ps) for ps in prediction_sets]
     sourced += [(args.external, ps) for ps in external]
     matrices, degenerate = _write_matrices(out_dir, sourced, list(DEFAULT_CRITERIA))
-    result, report_json, rank_degenerate = _rank_matrices(matrices, out_dir)
+    sources = {s: f"strategy {s}" for s in matrices}
+    result, report_json, rank_degenerate = _rank_matrices(matrices, out_dir, sources)
     degenerate = degenerate or rank_degenerate
     inputs = [args.features] + ([args.external] if args.external else [])
     inputs += [args.config] if args.config else []
@@ -414,15 +424,15 @@ def build_parser():
     p.add_argument("--external", help="predictions.csv for out-of-repo models")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("rfecv", help="recursive feature elimination curve")
     p.add_argument("features", help="features.csv with labels")
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--step", type=_int_in(1, len(tables.FEATURE_COLUMNS) - 1), default=1)
+    p.add_argument("--folds", type=_int_in(2), default=5)
     p.add_argument("--out", required=True, help="output rfecv_curve.csv")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_rfecv)
     return parser
 

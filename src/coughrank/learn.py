@@ -107,6 +107,15 @@ def stratified_kfold(labels, k, seed=DEFAULT_SEED):
     return FoldPlan(assignments)
 
 
+def stratified_splits(labels, k, seed=DEFAULT_SEED):
+    """(train_idx, test_idx) of each fold of stratified_kfold, in order; both sorted."""
+    assignments = stratified_kfold(labels, k, seed=seed).assignments
+    return [
+        (np.flatnonzero(assignments != fold), np.flatnonzero(assignments == fold))
+        for fold in range(k)
+    ]
+
+
 def smote(minority, target_count, k_neighbors=5, seed=DEFAULT_SEED):
     """Synthetic minority points interpolated toward nearest neighbors.
 
@@ -174,16 +183,16 @@ class KnnModel:
     scaler: _Standardizer
 
 
-def train_knn(train, n_neighbors=5):
+def train_knn(X, y, n_neighbors=5):
     """Fit a k-nearest-neighbor scorer on standardized features."""
-    if train.features.shape[0] == 0:
+    if X.shape[0] == 0:
         raise ValueError("empty training set")
-    if n_neighbors > train.features.shape[0]:
+    if n_neighbors > X.shape[0]:
         raise ValueError("n_neighbors exceeds training set size")
-    scaler = _Standardizer(train.features)
+    scaler = _Standardizer(X)
     return KnnModel(
-        train_features=scaler(train.features),
-        train_labels=train.labels,
+        train_features=scaler(X),
+        train_labels=y,
         n_neighbors=n_neighbors,
         scaler=scaler,
     )
@@ -278,7 +287,7 @@ class LogregModel:
     n_iter: int
 
 
-def train_logreg(train, l2_strength=1.0):
+def train_logreg(X, y, l2_strength=1.0):
     """Fit L2-penalized logistic regression by Newton's method.
 
     Each step solves the penalized Hessian system, Xa' diag(p(1-p)) Xa
@@ -291,11 +300,10 @@ def train_logreg(train, l2_strength=1.0):
     """
     if not l2_strength > 0:
         raise ValueError("l2_strength must be positive")
-    y = train.labels
     if len(np.unique(y)) < 2:
         raise ValueError("both classes required to fit logistic regression")
-    scaler = _Standardizer(train.features)
-    X = scaler(train.features)
+    scaler = _Standardizer(X)
+    X = scaler(X)
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     penalized = np.arange(X.shape[1])
     w = np.zeros(Xa.shape[1])
@@ -338,47 +346,30 @@ _TRAINERS = {
 }
 
 
-def _fit_predict(model_name, params, train, test_features):
-    fit, predict = _TRAINERS[model_name]
-    return predict(fit(train, **params), test_features)
-
-
-def _grid_search(model_name, grid, train, seed):
-    """Inner stratified CV over the grid, selecting on mean AUC.
+def _grid_search(model_name, grid, X, y, seed):
+    """Inner stratified CV over the grid, selecting on mean AUC; the
+    first best in grid order wins.
 
     For k-NN one neighbour search per inner fold, at the largest k of
     the grid, scores every k.
     """
-    plan = stratified_kfold(train.labels, INNER_FOLDS, seed=seed)
+    fit, predict = _TRAINERS[model_name]
     aucs = [[] for _ in grid]
-    for fold in range(INNER_FOLDS):
-        test_mask = plan.assignments == fold
-        inner_train = Dataset(
-            train.features[~test_mask],
-            train.labels[~test_mask],
-            [train.sample_ids[i] for i in np.flatnonzero(~test_mask)],
-        )
-        test_features = train.features[test_mask]
-        test_labels = train.labels[test_mask]
+    for tr, te in stratified_splits(y, INNER_FOLDS, seed):
+        X_tr, y_tr, X_te, y_te = X[tr], y[tr], X[te], y[te]
         if model_name == "knn":
             k_max = max(params["n_neighbors"] for params in grid)
-            model = train_knn(inner_train, n_neighbors=k_max)
-            neighbor_labels = model.train_labels[
-                _nearest_neighbors(model, test_features, k_max)
-            ]
+            model = train_knn(X_tr, y_tr, n_neighbors=k_max)
+            neighbor_labels = y_tr[_nearest_neighbors(model, X_te, k_max)]
             for fold_aucs, params in zip(aucs, grid):
                 scores = neighbor_labels[:, : params["n_neighbors"]].mean(axis=1)
-                fold_aucs.append(rank_auc(test_labels, scores))
+                fold_aucs.append(rank_auc(y_te, scores))
         else:
             for fold_aucs, params in zip(aucs, grid):
-                scores = _fit_predict(model_name, params, inner_train, test_features)
-                fold_aucs.append(rank_auc(test_labels, scores))
-    best = None
-    for fold_aucs, params in zip(aucs, grid):
-        mean_auc = float(np.mean(fold_aucs))
-        if best is None or mean_auc > best[0]:
-            best = (mean_auc, params)
-    return best[1]
+                scores = predict(fit(X_tr, y_tr, **params), X_te)
+                fold_aucs.append(rank_auc(y_te, scores))
+    mean_aucs = [float(np.mean(fold_aucs)) for fold_aucs in aucs]
+    return grid[mean_aucs.index(max(mean_aucs))]
 
 
 def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1"):
@@ -395,44 +386,29 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
     for model_name, _ in cells:
         if model_name not in _TRAINERS:
             raise ValueError(f"unknown model {model_name!r}")
-    plan = stratified_kfold(ds.labels, OUTER_FOLDS, seed=seed)
     oof_scores = np.zeros((len(cells), ds.features.shape[0]))
     thresholds = [[] for _ in cells]
-    for fold in range(OUTER_FOLDS):
-        test_mask = plan.assignments == fold
-        train_idx = np.flatnonzero(~test_mask)
-        X_tr, y_tr = ds.features[train_idx], ds.labels[train_idx]
-        X_te = ds.features[test_mask]
-        ids_tr = [ds.sample_ids[i] for i in train_idx]
-        fit_sets = {False: Dataset(X_tr, y_tr, ids_tr)}
+    for fold, (tr, te) in enumerate(stratified_splits(ds.labels, OUTER_FOLDS, seed)):
+        X_tr, y_tr, X_te = ds.features[tr], ds.labels[tr], ds.features[te]
+        fit_sets = {False: (X_tr, y_tr)}
         if any(cfg.use_smote for _, cfg in cells):
-            X_fit, y_fit = balance_with_smote(
+            fit_sets[True] = balance_with_smote(
                 X_tr, y_tr, k_neighbors=smote_k, seed=seed + fold
             )
-            ids_fit = ids_tr + [
-                f"synthetic_{fold}_{i}" for i in range(len(y_fit) - len(y_tr))
-            ]
-            fit_sets[True] = Dataset(X_fit, y_fit, ids_fit)
         for c, (model_name, cfg) in enumerate(cells):
-            fit_set = fit_sets[cfg.use_smote]
+            X_fit, y_fit = fit_sets[cfg.use_smote]
             if cfg.id == 3:
                 params = _grid_search(
-                    model_name, MODEL_GRIDS[model_name], fit_set, seed + fold
+                    model_name, MODEL_GRIDS[model_name], X_fit, y_fit, seed + fold
                 )
             else:
                 params = MODEL_DEFAULTS[model_name]
             fit, predict = _TRAINERS[model_name]
-            model = fit(fit_set, **params)
-            oof_scores[c, test_mask] = predict(model, X_te)
-            train_preds = PredictionSet(
-                model_name,
-                str(cfg.id),
-                ids_tr,
-                y_tr,
-                np.clip(predict(model, X_tr), 0.0, 1.0),
-            )
+            model = fit(X_fit, y_fit, **params)
+            oof_scores[c, te] = predict(model, X_te)
+            train_scores = np.clip(predict(model, X_tr), 0.0, 1.0)
             thresholds[c].append(
-                threshold_sweep(train_preds, objective=threshold_objective)
+                threshold_sweep(y_tr, train_scores, objective=threshold_objective)
             )
     order = np.argsort(np.asarray(ds.sample_ids, dtype=object), kind="stable")
     return [
@@ -458,28 +434,6 @@ def run_strategy(
     return run_strategies(ds, cells, seed, smote_k, threshold_objective)[0]
 
 
-def _logreg_importance(ds):
-    model = train_logreg(ds)
-    return np.abs(model.weights[:-1])
-
-
-def _cv_auc(ds, mask, k_folds, seed):
-    plan = stratified_kfold(ds.labels, k_folds, seed=seed)
-    aucs = []
-    for fold in range(k_folds):
-        test = plan.assignments == fold
-        train = Dataset(
-            ds.features[~test][:, mask],
-            ds.labels[~test],
-            [ds.sample_ids[i] for i in np.flatnonzero(~test)],
-        )
-        scores = _fit_predict(
-            "logreg", MODEL_DEFAULTS["logreg"], train, ds.features[test][:, mask]
-        )
-        aucs.append(rank_auc(ds.labels[test], scores))
-    return float(np.mean(aucs))
-
-
 def rfecv(ds, step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED):
     """Recursive feature elimination with cross-validated scoring.
 
@@ -491,12 +445,19 @@ def rfecv(ds, step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED):
     d = ds.features.shape[1]
     if step < 1 or step >= d:
         raise ValueError("require 1 <= step < number of features")
+    y = ds.labels
+    splits = stratified_splits(y, k_folds, seed)
     mask = np.ones(d, dtype=bool)
     curve = []
     best_mask, best_score = None, None
     while True:
         size = int(mask.sum())
-        score = _cv_auc(ds, mask, k_folds, seed)
+        X = ds.features[:, mask]
+        aucs = [
+            rank_auc(y[te], predict_logreg(train_logreg(X[tr], y[tr]), X[te]))
+            for tr, te in splits
+        ]
+        score = float(np.mean(aucs))
         curve.append((size, score))
         if (
             best_score is None
@@ -506,12 +467,9 @@ def rfecv(ds, step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED):
             best_mask, best_score = mask.copy(), score
         if size <= step:
             break
-        sub = Dataset(ds.features[:, mask], ds.labels, ds.sample_ids)
-        importance = _logreg_importance(sub)
+        importance = np.abs(train_logreg(X, y).weights[:-1])
         drop_local = np.argsort(importance, kind="stable")[:step]
         active = np.flatnonzero(mask)
         mask = mask.copy()
         mask[active[drop_local]] = False
-        if not mask.any():
-            break
     return best_mask, curve

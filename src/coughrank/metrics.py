@@ -136,8 +136,6 @@ def rank_auc(true_labels, scores):
 
     2U is summed as an exact integer from per-score class counts.
     """
-    true_labels = np.asarray(true_labels, dtype=int)
-    scores = np.asarray(scores, dtype=np.float64)
     pos, neg = true_labels == 1, true_labels == 0
     n_pos, n_neg = int(np.sum(pos)), int(np.sum(neg))
     if n_pos == 0 or n_neg == 0:
@@ -187,17 +185,18 @@ def evaluate(preds):
 DEFAULT_THRESHOLD_GRID = tuple(np.round(np.arange(0.01, 1.0, 0.01), 2))
 
 
-def threshold_sweep(preds, objective="f1"):
-    """Pick the cutoff of DEFAULT_THRESHOLD_GRID maximizing `objective`.
+def threshold_sweep(true_labels, scores, objective="f1"):
+    """Pick the cutoff of DEFAULT_THRESHOLD_GRID at which the 0/1 array
+    `true_labels` and the array `scores` maximize `objective`.
 
     Ties break toward the cutoff nearest 0.5, then the smaller cutoff.
     """
     if objective not in METRIC_NAMES:
         raise ValueError(f"unknown objective {objective!r}")
-    auc = rank_auc(preds.true_labels, preds.scores)
+    auc = rank_auc(true_labels, scores)
     best = None
     for cutoff in DEFAULT_THRESHOLD_GRID:
-        report = _report(confusion_counts(preds.true_labels, preds.scores, cutoff), auc)
+        report = _report(confusion_counts(true_labels, scores, cutoff), auc)
         if objective in report.degenerate:
             continue
         key = (-getattr(report, objective), abs(cutoff - 0.5), cutoff)

@@ -11,7 +11,7 @@ from scipy.io import wavfile
 from coughrank.audio import FEATURE_COLUMNS
 from coughrank import cli
 from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main, read_config
-from coughrank.metrics import PredictionSet
+from coughrank.metrics import METRIC_NAMES, PredictionSet
 from coughrank.tables import read_features, write_features, write_predictions
 
 from conftest import DATA_DIR
@@ -338,6 +338,19 @@ class TestRank:
             assert len(digest) == 64
         assert manifest == report["manifest"]
 
+    def test_all_constant_matrix_names_its_file(self, tmp_path, capsys):
+        matrices = []
+        for values in (["0.5", "0.7"], ["0.5", "0.5"]):
+            path = tmp_path / f"matrix{len(matrices) + 1}.csv"
+            rows = [f"{m}," + ",".join([v] * len(METRIC_NAMES)) for m, v in zip("ab", values)]
+            path.write_text("\n".join(["model," + ",".join(METRIC_NAMES)] + rows) + "\n")
+            matrices.append(str(path))
+        assert main(["rank", *matrices, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert (
+            f"error: {matrices[1]}: all criteria are constant; weights undefined"
+            in capsys.readouterr().err
+        )
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -611,6 +624,27 @@ def test_bad_seed_rejected_before_reading(tmp_path, capsys, monkeypatch, command
         main([command, str(tmp_path / "features.csv"), "--seed", seed, "--out", str(out)])
     assert exc.value.code == EXIT_INPUT
     assert f"argument --seed: must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+
+
+RFECV_RANGES = {"--folds": "an integer >= 2", "--step": "an integer in 1 .. 192"}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--folds", "1"), ("--folds", "-3"), ("--step", "0"), ("--step", "193")],
+    ids=["folds_1", "folds_-3", "step_0", "step_193"],
+)
+def test_bad_rfecv_option_rejected_before_reading(tmp_path, capsys, monkeypatch, flag, value):
+    def no_reading(*args, **kwargs):
+        pytest.fail("features read")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_reading)
+    out = tmp_path / "curve.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["rfecv", str(tmp_path / "features.csv"), flag, value, "--out", str(out)])
+    assert exc.value.code == EXIT_INPUT
+    wanted = f"argument {flag}: must be {RFECV_RANGES[flag]}, got {value!r}"
+    assert wanted in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("smote_k, trains", [(10, False), (9, True)])

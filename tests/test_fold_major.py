@@ -1,9 +1,12 @@
-"""The fold-major training loop against the per-strategy loop it replaced.
+"""The fold loops of `learn` against the loops they replaced.
 
 `per_strategy_oracle` is the former body of `run_strategy`: one full
 pass over the outer folds per (model, strategy) cell, each with its own
-fold plan, split and SMOTE call. `run_strategies` must give the same
-scores and thresholds, bit for bit, for every cell.
+fold plan, split and SMOTE call. `grid_search_oracle` is the former
+`_grid_search` and `rfecv_oracle` the former `rfecv`, both with a
+boolean test mask and a checked `Dataset` per fold, and `rfecv_oracle`
+with a fold plan rebuilt at every size. `run_strategies` and `rfecv`
+must give the same results, bit for bit.
 """
 
 import numpy as np
@@ -17,11 +20,15 @@ from coughrank.learn import (
     OUTER_FOLDS,
     Dataset,
     StrategyConfig,
+    INNER_FOLDS,
     balance_with_smote,
+    rfecv,
     run_strategies,
     stratified_kfold,
+    stratified_splits,
+    train_knn,
 )
-from coughrank.metrics import PredictionSet, threshold_sweep
+from coughrank.metrics import PredictionSet, rank_auc, threshold_sweep
 
 from test_cli import make_features_csv
 from test_learn import cluster_dataset
@@ -29,6 +36,41 @@ from test_learn import cluster_dataset
 STANDARD_CELLS = [
     (model, StrategyConfig.standard(s)) for s in (1, 2, 3) for model in ("knn", "logreg")
 ]
+
+
+def grid_search_oracle(model_name, grid, train, seed):
+    plan = stratified_kfold(train.labels, INNER_FOLDS, seed=seed)
+    aucs = [[] for _ in grid]
+    for fold in range(INNER_FOLDS):
+        test_mask = plan.assignments == fold
+        inner_train = Dataset(
+            train.features[~test_mask],
+            train.labels[~test_mask],
+            [train.sample_ids[i] for i in np.flatnonzero(~test_mask)],
+        )
+        test_features = train.features[test_mask]
+        test_labels = train.labels[test_mask]
+        if model_name == "knn":
+            k_max = max(params["n_neighbors"] for params in grid)
+            model = train_knn(inner_train.features, inner_train.labels, n_neighbors=k_max)
+            neighbor_labels = model.train_labels[
+                learn._nearest_neighbors(model, test_features, k_max)
+            ]
+            for fold_aucs, params in zip(aucs, grid):
+                scores = neighbor_labels[:, : params["n_neighbors"]].mean(axis=1)
+                fold_aucs.append(rank_auc(test_labels, scores))
+        else:
+            fit, predict = learn._TRAINERS[model_name]
+            for fold_aucs, params in zip(aucs, grid):
+                model = fit(inner_train.features, inner_train.labels, **params)
+                scores = predict(model, test_features)
+                fold_aucs.append(rank_auc(test_labels, scores))
+    best = None
+    for fold_aucs, params in zip(aucs, grid):
+        mean_auc = float(np.mean(fold_aucs))
+        if best is None or mean_auc > best[0]:
+            best = (mean_auc, params)
+    return best[1]
 
 
 def per_strategy_oracle(ds, model_name, cfg, seed, smote_k=5, threshold_objective="f1"):
@@ -51,18 +93,22 @@ def per_strategy_oracle(ds, model_name, cfg, seed, smote_k=5, threshold_objectiv
             X_fit, y_fit, ids_fit = X_tr, y_tr, ids_tr
         fit_set = Dataset(X_fit, y_fit, ids_fit)
         if cfg.id == 3:
-            params = learn._grid_search(
+            params = grid_search_oracle(
                 model_name, MODEL_GRIDS[model_name], fit_set, seed + fold
             )
         else:
             params = MODEL_DEFAULTS[model_name]
         fit, predict = learn._TRAINERS[model_name]
-        model = fit(fit_set, **params)
+        model = fit(fit_set.features, fit_set.labels, **params)
         oof_scores[test_mask] = predict(model, ds.features[test_mask])
         train_preds = PredictionSet(
             model_name, str(cfg.id), ids_tr, y_tr, np.clip(predict(model, X_tr), 0.0, 1.0)
         )
-        thresholds.append(threshold_sweep(train_preds, objective=threshold_objective))
+        thresholds.append(
+            threshold_sweep(
+                train_preds.true_labels, train_preds.scores, objective=threshold_objective
+            )
+        )
     order = np.argsort(np.asarray(ds.sample_ids, dtype=object), kind="stable")
     return PredictionSet(
         model_name=model_name,
@@ -129,3 +175,77 @@ def test_pipeline_runs_smote_once_per_outer_fold(tmp_path, monkeypatch):
     make_features_csv(features, n_pos=14, n_neg=26, gap=0.25, seed=4)
     assert main(["pipeline", str(features), "--out", str(tmp_path / "out")]) in (0, 3)
     assert len(calls) == OUTER_FOLDS
+
+
+def cv_auc_oracle(ds, mask, k_folds, seed):
+    plan = stratified_kfold(ds.labels, k_folds, seed=seed)
+    aucs = []
+    for fold in range(k_folds):
+        test = plan.assignments == fold
+        train = Dataset(
+            ds.features[~test][:, mask],
+            ds.labels[~test],
+            [ds.sample_ids[i] for i in np.flatnonzero(~test)],
+        )
+        fit, predict = learn._TRAINERS["logreg"]
+        model = fit(train.features, train.labels, **MODEL_DEFAULTS["logreg"])
+        scores = predict(model, ds.features[test][:, mask])
+        aucs.append(rank_auc(ds.labels[test], scores))
+    return float(np.mean(aucs))
+
+
+def rfecv_oracle(ds, step, k_folds, seed):
+    d = ds.features.shape[1]
+    mask = np.ones(d, dtype=bool)
+    curve = []
+    best_mask, best_score = None, None
+    while True:
+        size = int(mask.sum())
+        score = cv_auc_oracle(ds, mask, k_folds, seed)
+        curve.append((size, score))
+        if (
+            best_score is None
+            or score > best_score
+            or (score == best_score and size < int(best_mask.sum()))
+        ):
+            best_mask, best_score = mask.copy(), score
+        if size <= step:
+            break
+        sub = Dataset(ds.features[:, mask], ds.labels, ds.sample_ids)
+        importance = np.abs(learn.train_logreg(sub.features, sub.labels).weights[:-1])
+        drop_local = np.argsort(importance, kind="stable")[:step]
+        active = np.flatnonzero(mask)
+        mask = mask.copy()
+        mask[active[drop_local]] = False
+        if not mask.any():
+            break
+    return best_mask, curve
+
+
+@pytest.mark.parametrize("k_folds", [3, 5])
+@pytest.mark.parametrize("step", [1, 2, 5])
+@pytest.mark.parametrize("seed", [12, 13])
+def test_rfecv_matches_per_size_plan_loop(seed, step, k_folds):
+    ds = cluster_dataset(17, 28, n_features=11, gap=0.6, seed=seed)
+    mask, curve = rfecv(ds, step=step, k_folds=k_folds, seed=seed)
+    want_mask, want_curve = rfecv_oracle(ds, step, k_folds, seed)
+    assert np.array_equal(mask, want_mask)
+    assert [(size, auc.hex()) for size, auc in curve] == [
+        (size, auc.hex()) for size, auc in want_curve
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_stratified_splits_partition_rows_by_plan(k):
+    labels = np.random.default_rng(k).permutation([1] * 13 + [0] * 24)
+    assignments = stratified_kfold(labels, k, seed=5).assignments
+    splits = stratified_splits(labels, k, seed=5)
+    assert len(splits) == k
+    for fold, (train_idx, test_idx) in enumerate(splits):
+        np.testing.assert_array_equal(test_idx, np.flatnonzero(assignments == fold))
+        assert np.all(np.diff(train_idx) > 0) and np.all(np.diff(test_idx) > 0)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([train_idx, test_idx])), np.arange(labels.size)
+        )
+    tests = np.concatenate([test_idx for _, test_idx in splits])
+    np.testing.assert_array_equal(np.sort(tests), np.arange(labels.size))

@@ -83,7 +83,10 @@ def grid_search_oracle(model_name, grid, train, seed):
                 train.labels[~test_mask],
                 [train.sample_ids[i] for i in np.flatnonzero(~test_mask)],
             )
-            scores = predict(fit(inner_train, **params), train.features[test_mask])
+            scores = predict(
+                fit(inner_train.features, inner_train.labels, **params),
+                train.features[test_mask],
+            )
             aucs.append(rank_auc(train.labels[test_mask], scores))
         mean_auc = float(np.mean(aucs))
         if best is None or mean_auc > best[0]:
@@ -125,7 +128,7 @@ class TestNeighbourSearch:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_data(self, seed):
         train = noisy_dataset(40, 70, n_features=193, seed=seed)
-        model = train_knn(train, n_neighbors=5 + seed)
+        model = train_knn(train.features, train.labels, n_neighbors=5 + seed)
         queries = np.random.default_rng(seed + 10).normal(size=(37, 193))
         assert_matches_oracle(model, queries)
 
@@ -135,7 +138,7 @@ class TestNeighbourSearch:
         X = np.vstack([base, base, base[:5]])
         y = rng.integers(0, 2, size=len(X))
         y[:2] = [0, 1]
-        model = train_knn(Dataset(X, y, [f"t{i}" for i in range(len(X))]), 6)
+        model = train_knn(X, y, 6)
         queries = rng.integers(0, 3, size=(20, 3)).astype(float)
         dists = np.linalg.norm(
             model.scaler(queries)[:, None, :] - model.train_features[None], axis=2
@@ -146,7 +149,7 @@ class TestNeighbourSearch:
     @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
     def test_queries_span_many_blocks(self, monkeypatch, rows_per_block):
         train = noisy_dataset(30, 40, n_features=8, seed=4)
-        model = train_knn(train, n_neighbors=7)
+        model = train_knn(train.features, train.labels, n_neighbors=7)
         row_bytes = 8 * model.train_features.shape[0]
         monkeypatch.setattr(learn, "_KNN_BLOCK_BYTES", rows_per_block * row_bytes)
         queries = np.random.default_rng(5).normal(size=(23, 8))
@@ -154,12 +157,12 @@ class TestNeighbourSearch:
 
     def test_single_query_row(self):
         train = noisy_dataset(12, 18, seed=6)
-        model = train_knn(train, n_neighbors=5)
+        model = train_knn(train.features, train.labels, n_neighbors=5)
         assert_matches_oracle(model, train.features[3:4] + 0.25)
 
     def test_k_equals_training_size(self):
         train = noisy_dataset(9, 11, seed=7)
-        model = train_knn(train, n_neighbors=20)
+        model = train_knn(train.features, train.labels, n_neighbors=20)
         queries = np.random.default_rng(8).normal(size=(6, 5))
         assert_matches_oracle(model, queries)
         np.testing.assert_array_equal(predict_knn(model, queries), np.full(6, 9 / 20))
@@ -189,14 +192,14 @@ class TestNeighbourSearch:
         X = np.vstack([base, base[:10], base[:4], base[:4]])
         y = rng.integers(0, 2, size=len(X))
         y[:2] = [0, 1]
-        model = train_knn(Dataset(X, y, [f"t{i}" for i in range(len(X))]), k)
+        model = train_knn(X, y, k)
         assert_matches_oracle(model, X)
 
     def test_huge_scale_column_and_constant_column(self):
         train = noisy_dataset(40, 60, n_features=20, seed=12)
         train.features[:, 0] *= 1e6
         train.features[:, 1] = 3.0
-        model = train_knn(train, n_neighbors=6)
+        model = train_knn(train.features, train.labels, n_neighbors=6)
         queries = np.random.default_rng(13).normal(size=(30, 20))
         queries[:, 0] *= 1e6
         queries[:, 1] = 3.0
@@ -208,13 +211,13 @@ class TestNeighbourSearch:
         X = np.concatenate([rng.integers(0, 6, size=30), rng.normal(size=20)])[:, None]
         y = rng.integers(0, 2, size=X.shape[0])
         y[:2] = [0, 1]
-        model = train_knn(Dataset(X, y, [f"t{i}" for i in range(len(X))]), 7)
+        model = train_knn(X, y, 7)
         queries = np.concatenate([np.arange(-1.0, 7.0, 0.5), rng.normal(size=10)])
         assert_matches_oracle(model, queries[:, None])
 
     def test_k_equals_training_size_across_blocks(self, monkeypatch):
         train = noisy_dataset(14, 16, n_features=193, seed=15)
-        model = train_knn(train, n_neighbors=30)
+        model = train_knn(train.features, train.labels, n_neighbors=30)
         monkeypatch.setattr(learn, "_KNN_BLOCK_BYTES", 3 * 8 * 30)
         queries = np.vstack(
             [train.features[:5], np.random.default_rng(16).normal(size=(8, 193))]
@@ -223,7 +226,7 @@ class TestNeighbourSearch:
 
     def test_seeded_1000_by_193(self):
         train = noisy_dataset(333, 667, n_features=193, seed=17)
-        model = train_knn(train, n_neighbors=8)
+        model = train_knn(train.features, train.labels, n_neighbors=8)
         queries = np.vstack(
             [train.features[::4], np.random.default_rng(18).normal(size=(100, 193))]
         )
@@ -295,23 +298,23 @@ class TestGridSearch:
     def test_same_params_as_per_params_loop(self, model_name, seed):
         train = noisy_dataset(30, 45, gap=0.7, seed=seed)
         grid = learn.MODEL_GRIDS[model_name]
-        assert learn._grid_search(model_name, grid, train, seed) == (
-            grid_search_oracle(model_name, grid, train, seed)
-        )
+        assert learn._grid_search(
+            model_name, grid, train.features, train.labels, seed
+        ) == grid_search_oracle(model_name, grid, train, seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unsorted_knn_grid(self, seed):
         train = noisy_dataset(30, 45, gap=0.7, seed=seed)
         grid = [{"n_neighbors": k} for k in (9, 1, 12, 4, 3)]
-        assert learn._grid_search("knn", grid, train, seed) == (
-            grid_search_oracle("knn", grid, train, seed)
-        )
+        assert learn._grid_search(
+            "knn", grid, train.features, train.labels, seed
+        ) == grid_search_oracle("knn", grid, train, seed)
 
     def test_tied_mean_auc_first_in_grid_wins(self):
         # separable blobs: every k ranks each inner fold perfectly
         train = noisy_dataset(25, 30, gap=8.0, seed=9)
         for ks in ((8, 5), (5, 8), (6, 7, 5)):
             grid = [{"n_neighbors": k} for k in ks]
-            chosen = learn._grid_search("knn", grid, train, 11)
+            chosen = learn._grid_search("knn", grid, train.features, train.labels, 11)
             assert chosen == grid[0]
             assert chosen == grid_search_oracle("knn", grid, train, 11)

@@ -142,7 +142,7 @@ class TestKnn:
             np.array([0, 0, 0, 1, 1, 1]),
             list("abcdef"),
         )
-        model = train_knn(train, n_neighbors=3)
+        model = train_knn(train.features, train.labels, n_neighbors=3)
         scores = predict_knn(model, np.array([[1.0], [11.0], [6.0]]))
         assert scores[0] == 0.0
         assert scores[1] == 1.0
@@ -152,18 +152,18 @@ class TestKnn:
 
     def test_k_one_memorizes_training_labels(self):
         ds = cluster_dataset(6, 6, seed=5)
-        model = train_knn(ds, n_neighbors=1)
+        model = train_knn(ds.features, ds.labels, n_neighbors=1)
         scores = predict_knn(model, ds.features)
         np.testing.assert_array_equal(scores, ds.labels.astype(float))
 
     def test_k_larger_than_train_rejected(self):
         ds = cluster_dataset(3, 3)
         with pytest.raises(ValueError):
-            train_knn(ds, n_neighbors=7)
+            train_knn(ds.features, ds.labels, n_neighbors=7)
 
     def test_scores_in_unit_interval(self):
         ds = cluster_dataset(10, 10, seed=6)
-        model = train_knn(ds, n_neighbors=4)
+        model = train_knn(ds.features, ds.labels, n_neighbors=4)
         scores = predict_knn(model, np.random.default_rng(0).normal(size=(15, 4)))
         assert np.all((scores >= 0) & (scores <= 1))
 
@@ -193,24 +193,24 @@ class TestLogreg:
 
     def test_separable_clusters_perfect_ranking(self):
         ds = cluster_dataset(20, 20, gap=5.0, seed=8)
-        model = train_logreg(ds, l2_strength=0.01)
+        model = train_logreg(ds.features, ds.labels, l2_strength=0.01)
         scores = predict_logreg(model, ds.features)
         assert rank_auc(ds.labels, scores) == 1.0
 
     def test_heavy_penalty_flattens_scores(self):
         ds = cluster_dataset(15, 15, seed=9)
-        model = train_logreg(ds, l2_strength=1e6)
+        model = train_logreg(ds.features, ds.labels, l2_strength=1e6)
         scores = predict_logreg(model, ds.features)
         assert np.all(np.abs(scores - 0.5) < 0.05)
 
     def test_single_class_rejected(self):
         ds = Dataset(np.random.default_rng(0).normal(size=(6, 2)), np.ones(6, dtype=int), list("abcdef"))
         with pytest.raises(ValueError):
-            train_logreg(ds)
+            train_logreg(ds.features, ds.labels)
 
     def test_scores_are_probabilities(self):
         ds = cluster_dataset(12, 12, seed=10)
-        model = train_logreg(ds)
+        model = train_logreg(ds.features, ds.labels)
         scores = predict_logreg(model, ds.features)
         assert np.all((scores > 0) & (scores < 1))
 

@@ -121,7 +121,7 @@ SETS = {
 @pytest.mark.parametrize("set_name", sorted(SETS))
 def test_newton_against_gradient_descent(set_name, l2):
     train, X_te, y_te = SETS[set_name]()
-    newton = train_logreg(train, l2_strength=l2)
+    newton = train_logreg(train.features, train.labels, l2_strength=l2)
     oracle = gradient_descent_oracle(train, l2_strength=l2)
     assert newton.converged and 1 <= newton.n_iter <= learn.LOGREG_MAX_ITER
     X = newton.scaler(train.features)
@@ -142,7 +142,7 @@ def test_newton_against_gradient_descent(set_name, l2):
 def test_iteration_cap_reported_not_raised(monkeypatch):
     monkeypatch.setattr(learn, "LOGREG_MAX_ITER", 1)
     train, _, _ = overlapping()
-    model = train_logreg(train, l2_strength=0.01)
+    model = train_logreg(train.features, train.labels, l2_strength=0.01)
     assert (model.converged, model.n_iter) == (False, 1)
 
 
@@ -150,4 +150,4 @@ def test_iteration_cap_reported_not_raised(monkeypatch):
 def test_non_positive_penalty_rejected(l2):
     train, _, _ = separable()
     with pytest.raises(ValueError, match="l2_strength"):
-        train_logreg(train, l2_strength=l2)
+        train_logreg(train.features, train.labels, l2_strength=l2)

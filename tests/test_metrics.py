@@ -137,12 +137,12 @@ class TestEvaluate:
 class TestThresholdSweep:
     def test_separable_picks_cutoff_nearest_half(self):
         preds = make_preds([1, 1, 0, 0], [0.9, 0.8, 0.3, 0.1])
-        assert threshold_sweep(preds, objective="f1") == 0.5
+        assert threshold_sweep(preds.true_labels, preds.scores, objective="f1") == 0.5
 
     def test_hand_case(self):
         # every cutoff in (0.5, 0.55] gives F1 = 1; 0.51 is nearest 0.5
         preds = make_preds([1, 1, 1, 0], [0.9, 0.6, 0.55, 0.5])
-        assert threshold_sweep(preds, objective="f1") == 0.51
+        assert threshold_sweep(preds.true_labels, preds.scores, objective="f1") == 0.51
 
 
 class TestDecisionMatrix:

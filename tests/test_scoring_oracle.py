@@ -166,9 +166,9 @@ def test_threshold_sweep_matches_rebuilt(objective):
             expected = rebuilt_sweep(preds, objective)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                threshold_sweep(preds, objective=objective)
+                threshold_sweep(preds.true_labels, preds.scores, objective=objective)
             continue
-        assert threshold_sweep(preds, objective=objective) == expected, name
+        assert threshold_sweep(preds.true_labels, preds.scores, objective=objective) == expected, name
 
 
 def test_seeded_random_sets_match():
@@ -183,5 +183,5 @@ def test_seeded_random_sets_match():
         preds = make_preds(labels, scores, float(rng.choice(DEFAULT_THRESHOLD_GRID)))
         assert bits(evaluate(preds)) == bits(rebuilt_evaluate(preds))
         if trial % 10 == 0:
-            assert threshold_sweep(preds) == rebuilt_sweep(preds, "f1")
+            assert threshold_sweep(preds.true_labels, preds.scores) == rebuilt_sweep(preds, "f1")
 
