@@ -323,9 +323,11 @@ def _check_smote_k(ds, smote_k, seed, config_path):
         )
 
 
-def _read_external(path):
-    """External prediction sets; none may take an in-repo model's place."""
+def _read_external(path, features_csv, ds):
+    """External prediction sets; none may take an in-repo model's place, and
+    each must cover exactly the ids of features.csv with their labels there."""
     in_repo = {str(s) for s in STRATEGIES}
+    known = dict(zip(ds.sample_ids, ds.labels.tolist()))
     prediction_sets = tables.read_predictions(path)
     for ps in prediction_sets:
         if ps.model_name in IN_REPO_MODELS and ps.strategy_id in in_repo:
@@ -333,6 +335,19 @@ def _read_external(path):
                 f"{path}: external model {ps.model_name!r} in strategy "
                 f"{ps.strategy_id} clashes with the in-repo model of that name"
             )
+        group = f"model {ps.model_name!r} in strategy {ps.strategy_id}"
+        for index, (sid, label) in enumerate(zip(ps.sample_ids, ps.true_labels.tolist())):
+            if known.get(sid) != label:
+                line = tables._group_line(path, ps.model_name, ps.strategy_id, index)
+                there = f"label {known[sid]}" if sid in known else "no row"
+                raise InputError(
+                    f"{path}:{line}: {group}: sample_id {sid!r} has label {label},"
+                    f" but {features_csv} has {there}"
+                )
+        present = set(ps.sample_ids)
+        missing = next((sid for sid in known if sid not in present), None)
+        if missing is not None:
+            raise InputError(f"{path}: {group}: no row for sample_id {missing!r}")
     return prediction_sets
 
 
@@ -345,7 +360,7 @@ def cmd_pipeline(args):
     ds = _load_dataset(args.features, OUTER_FOLDS)
     if "smote_k" in config:
         _check_smote_k(ds, smote_k, args.seed, args.config)
-    external = _read_external(args.external) if args.external else []
+    external = _read_external(args.external, args.features, ds) if args.external else []
     cells = [
         (model, StrategyConfig.standard(strategy_id))
         for strategy_id in STRATEGIES

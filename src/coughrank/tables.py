@@ -6,6 +6,7 @@ digits so values round-trip through parse -> serialize unchanged.
 """
 
 import csv
+from itertools import islice
 
 import numpy as np
 
@@ -125,49 +126,82 @@ def write_predictions(path, prediction_sets):
     _write_rows(path, PREDICTIONS_HEADER, rows)
 
 
-def _first_repeat(path, model, strategy):
-    """Line number and id of the first sample_id seen twice in one group."""
-    seen = set()
-    for lineno, row in _rows(path, PREDICTIONS_HEADER):
-        if row[0] == model and row[1] == strategy:
-            if row[2] in seen:
-                return lineno, row[2]
-            seen.add(row[2])
+_BLOCK = 65536  # rows whose raw label and score strings read_predictions holds
+
+
+def _group_line(path, model, strategy, index):
+    """Line number of the `index`-th row (from 0) of one (model, strategy) group."""
+    rows = _rows(path, PREDICTIONS_HEADER)
+    lines = (lineno for lineno, row in rows if row[0] == model and row[1] == strategy)
+    return next(islice(lines, index, None))
+
+
+def _convert(path, pending):
+    """Append each pending group's raw labels and scores to its runs as one
+    pair of arrays; a bad value raises the message of its first row in the file."""
+    faults = []
+    for (model, strategy), (ids, runs, labels, scores) in pending.items():
+        try:
+            runs.append((np.array(labels, dtype=int), np.array(scores, dtype=float)))
+        except (ValueError, OverflowError):
+            for i, (label, score) in enumerate(zip(labels, scores)):
+                try:
+                    int(label), float(score)
+                except ValueError as exc:
+                    line = _group_line(path, model, strategy, len(ids) - len(labels) + i)
+                    faults.append((line, f"{path}:{line}: {exc}"))
+                    break
+            else:
+                raise
+    if faults:
+        raise ValueError(min(faults)[1])
 
 
 def read_predictions(path, threshold=0.5):
     """Parse predictions.csv into PredictionSets grouped by (model, strategy).
 
+    Groups may come in any order; each sample_id string is held once per file.
     A sample_id may appear once per (model, strategy) group; a repeat is
     reported with the file and line where it recurs.
     """
-    groups = {}
-    for lineno, (model, strategy, sid, label, score) in _rows(
-        path, PREDICTIONS_HEADER
-    ):
+    groups, interned = {}, {}  # (model, strategy) -> (ids, runs of arrays)
+    rows = _rows(path, PREDICTIONS_HEADER)
+    while True:
+        pending, cur_model, cur_strategy = {}, None, None
         try:
-            label, score = int(label), float(score)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        ids, labels, scores = groups.setdefault((model, strategy), ([], [], []))
-        ids.append(sid)
-        labels.append(label)
-        scores.append(score)
+            for _, (model, strategy, sid, label, score) in islice(rows, _BLOCK):
+                if model != cur_model or strategy != cur_strategy:
+                    cur_model, cur_strategy = model, strategy
+                    key = model, strategy
+                    if key not in pending:
+                        pending[key] = groups.setdefault(key, ([], [])) + ([], [])
+                    ids, _, labels, scores = pending[key]
+                ids.append(interned.setdefault(sid, sid))
+                labels.append(label)
+                scores.append(score)
+        finally:
+            # also before an error from _rows propagates, so an earlier bad value wins
+            _convert(path, pending)
+        if not pending:
+            break
     out = []
-    for (model, strategy), (sample_ids, labels, scores) in groups.items():
-        if len(set(sample_ids)) != len(sample_ids):
-            lineno, sid = _first_repeat(path, model, strategy)
+    for (model, strategy), (ids, runs) in groups.items():
+        if len(set(ids)) != len(ids):
+            seen = set()
+            index = next(i for i, sid in enumerate(ids) if sid in seen or seen.add(sid))
             raise ValueError(
-                f"{path}:{lineno}: sample_id {sid!r} repeated in model {model!r},"
-                f" strategy {strategy}"
+                f"{path}:{_group_line(path, model, strategy, index)}: sample_id "
+                f"{ids[index]!r} repeated in model {model!r}, strategy {strategy}"
             )
+        labels, scores = (r[0] if len(r) == 1 else np.concatenate(r) for r in zip(*runs))
+        runs.clear()
         try:
             ps = PredictionSet(
                 model_name=model,
                 strategy_id=strategy,
-                sample_ids=sample_ids,
-                true_labels=np.array(labels),
-                scores=np.array(scores),
+                sample_ids=ids,
+                true_labels=labels,
+                scores=scores,
                 threshold=threshold,
             )
         except ValueError as exc:

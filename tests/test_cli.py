@@ -538,6 +538,45 @@ class TestPipeline:
         assert f"{external}:{bad_line}: sample_id {ids[0]!r} repeated in model 'ext0', strategy 2" in err
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("fault", ["missing", "foreign", "flipped"])
+    def test_external_group_must_match_features(self, tmp_path, capsys, fault):
+        features = tmp_path / "features.csv"
+        ids, labels = make_features_csv(features, n_pos=10, n_neg=10)
+        bad_ids, bad_labels = list(ids), labels.copy()
+        if fault == "missing":
+            del bad_ids[4], bad_ids[7]
+            bad_labels = np.delete(bad_labels, [4, 8])
+        elif fault == "foreign":
+            bad_ids[4] = "zz"
+        else:
+            bad_labels[4] = 1 - bad_labels[4]
+        external = tmp_path / "external.csv"
+        write_predictions(
+            external,
+            [
+                PredictionSet(
+                    model_name=model,
+                    strategy_id="2",
+                    sample_ids=sids,
+                    true_labels=y,
+                    scores=np.linspace(0.1, 0.9, y.size),
+                )
+                for model, sids, y in (("ext0", ids, labels), ("ext1", bad_ids, bad_labels))
+            ],
+        )
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--external", str(external), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        if fault == "missing":
+            assert f"{external}: model 'ext1' in strategy 2: no row for sample_id {ids[4]!r}" in err
+        else:
+            line = len(ids) + 2 + 4
+            sid = bad_ids[4]
+            assert f"{external}:{line}: model 'ext1' in strategy 2: sample_id {sid!r}" in err
+            assert str(features) in err
+        assert not (out / "predictions.csv").exists()
+
     def test_missing_labels_rejected(self, tmp_path):
         features = tmp_path / "features.csv"
         rng = np.random.default_rng(0)

@@ -1,10 +1,12 @@
 import csv
 import re
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from coughrank import tables
 from coughrank.audio import FEATURE_COLUMNS
 from coughrank.ensemble import ClosenessTable
 from coughrank.metrics import DEFAULT_CRITERIA, PredictionSet
@@ -371,3 +373,101 @@ class TestPredictionsOracle:
         assert _location(path, got.value) == _location(path, want.value)
         if fault in ("short_row", "label", "score", "repeat"):
             assert _location(path, got.value) != ":"
+
+    @pytest.mark.parametrize(
+        "later",
+        ["c,1,0.5\n", "c,1,s1,yes,0.5\na,1,s1,0,?\n"],
+        ids=["short_row", "values_of_other_groups"],
+    )
+    def test_first_fault_in_block_wins(self, tmp_path, later):
+        # a bad score on line 5 in group b, then later faults in the same
+        # block: a short row, or bad values in groups c and a, which
+        # entered the block before and after b
+        path = tmp_path / "predictions.csv"
+        path.write_text(
+            "model,strategy,sample_id,true_label,score\n"
+            "c,1,s0,1,0.5\nb,1,s0,1,0.5\na,1,s0,0,0.5\nb,1,s1,0,high\n" + later
+        )
+        with pytest.raises(ValueError) as want:
+            oracle_read_predictions(path)
+        with pytest.raises(ValueError) as got:
+            read_predictions(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:5: ")
+
+
+def prediction_groups(seed, n_models=4, n_strategies=3, n_ids=25):
+    """The rows of each (model, strategy) group, each over all ids in
+    shuffled order. Ids hold commas and quotes, and scores are written at
+    full precision."""
+    rng = np.random.default_rng(seed)
+    ids = [f'clip "{i}", take {i % 3}' for i in range(n_ids)]
+    groups = []
+    for m in range(n_models):
+        for s in range(1, n_strategies + 1):
+            labels = rng.permutation(np.arange(n_ids) % 2)
+            groups.append(
+                [
+                    [f"model,{m}", str(s), ids[i], int(labels[i]), repr(rng.uniform())]
+                    for i in rng.permutation(n_ids)
+                ]
+            )
+    return groups
+
+
+def layout_rows(groups, layout, seed=0):
+    """All rows of `groups` in one file layout."""
+    if layout == "contiguous":
+        return [row for group in groups for row in group]
+    if layout == "comeback":  # A A B B ... A A B B ...: every group comes back
+        halves = [(g[: len(g) // 2], g[len(g) // 2 :]) for g in groups]
+        return [row for part in (0, 1) for h in halves for row in h[part]]
+    rows = [row for group in groups for row in group]
+    return [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+
+
+def write_prediction_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model", "strategy", "sample_id", "true_label", "score"])
+        writer.writerows(rows)
+
+
+class TestPredictionsLayouts:
+    @pytest.mark.parametrize("block", [None, 7], ids=["default_block", "block_7"])
+    @pytest.mark.parametrize("layout", ["contiguous", "comeback", "shuffled"])
+    def test_same_sets_as_list_building_reader(self, tmp_path, monkeypatch, layout, block):
+        if block is not None:
+            monkeypatch.setattr(tables, "_BLOCK", block)
+        path = tmp_path / "predictions.csv"
+        write_prediction_rows(path, layout_rows(prediction_groups(seed=5), layout))
+        got = read_predictions(path)
+        want = oracle_read_predictions(path)
+        assert [(p.model_name, p.strategy_id) for p in got] == [
+            (p.model_name, p.strategy_id) for p in want
+        ]
+        assert len(want) == 12
+        for g, w in zip(got, want):
+            assert g.sample_ids == w.sample_ids
+            assert g.true_labels.dtype == w.true_labels.dtype
+            np.testing.assert_array_equal(g.true_labels, w.true_labels)
+            assert [float(x).hex() for x in g.scores] == [float(x).hex() for x in w.scores]
+        first = {sid: sid for sid in got[0].sample_ids}
+        for g in got[1:]:
+            assert all(sid is first[sid] for sid in g.sample_ids)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "shuffled"])
+    def test_peak_memory_per_row(self, tmp_path, layout):
+        # 240 000 rows: 2000 ids, 40 models x 3 strategies
+        groups = prediction_groups(seed=3, n_models=40, n_strategies=3, n_ids=2000)
+        path = tmp_path / "predictions.csv"
+        write_prediction_rows(path, layout_rows(groups, layout))
+        del groups
+        tracemalloc.start()
+        try:
+            sets = read_predictions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(p.sample_ids) for p in sets) == 240_000
+        assert peak / 240_000 < 60
