@@ -3,9 +3,9 @@
 Five spectral feature families (MFCC, mel spectrogram, chromagram,
 spectral contrast, tonal centroid) are computed per STFT frame and
 mean-aggregated over the clip into a fixed 193-dimensional vector.
-`extract_features` computes one power spectrogram per clip and feeds
-it to all five families; each public single-family function is that
-same STFT plus the same per-family helper.
+`extract_features` is the one place that computes them, all from one
+power spectrogram per clip; each public single-family function returns
+its block of that one vector.
 """
 
 import functools
@@ -25,6 +25,7 @@ N_TONNETZ = 6
 N_FEATURES = N_MFCC + N_MELS + N_CHROMA + (N_CONTRAST_BANDS + 1) + N_TONNETZ
 
 LOG_FLOOR = 1e-10
+CONTRAST_ALPHA = 0.02  # share of a band's bins in its peak and in its valley
 
 FEATURE_COLUMNS = (
     [f"mfcc_{i:02d}" for i in range(N_MFCC)]
@@ -94,8 +95,8 @@ class FeatureVector:
         return out
 
 
-def load_and_resample(path, target_rate=DEFAULT_SAMPLE_RATE):
-    """Decode a PCM WAV file, mix to mono and resample.
+def load_and_resample(path):
+    """Decode a PCM WAV file, mix to mono and resample to DEFAULT_SAMPLE_RATE.
 
     Supports 8/16/24-bit integer and 32-bit float encodings, 1-2
     channels, scaled to [-1, 1] by the file's encoding. Stereo is
@@ -132,17 +133,17 @@ def load_and_resample(path, target_rate=DEFAULT_SAMPLE_RATE):
     else:
         raise ValueError(f"{path!r}: unsupported WAV encoding {encoding}")
 
-    if target_rate != rate:
+    if rate != DEFAULT_SAMPLE_RATE:
         import scipy.signal
 
-        ratio = Fraction(int(target_rate), int(rate))
+        ratio = Fraction(DEFAULT_SAMPLE_RATE, int(rate))
         samples = scipy.signal.resample_poly(
             samples, ratio.numerator, ratio.denominator
         )
         samples = np.clip(samples, -1.0, 1.0)
     if samples.size == 0:
         raise ValueError(f"{path!r}: resampling produced no samples")
-    return AudioClip(samples=samples, sample_rate=int(target_rate))
+    return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
 
 
 def _frame_signal(clip, cfg):
@@ -185,19 +186,16 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels, n_fft, sample_rate, f_min=0.0, f_max=None):
-    """Triangular filters with centers equally spaced on the mel axis.
+def mel_filterbank(n_mels, n_fft, sample_rate):
+    """Triangular filters with centers equally spaced on the mel axis
+    from 0 Hz to sample_rate / 2.
 
     Returns an (n_mels, n_fft//2 + 1) weight matrix; each filter peaks
     at 1 at its center and is zero outside its support.
     """
-    if f_max is None:
-        f_max = sample_rate / 2.0
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
-    if not (0 <= f_min < f_max <= sample_rate / 2.0):
-        raise ValueError("require 0 <= f_min < f_max <= sample_rate/2")
-    mel_pts = np.linspace(mel_scale(f_min), mel_scale(f_max), n_mels + 2)
+    mel_pts = np.linspace(0.0, mel_scale(sample_rate / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     fb = np.zeros((n_mels, bin_freqs.size))
@@ -211,41 +209,19 @@ def mel_filterbank(n_mels, n_fft, sample_rate, f_min=0.0, f_max=None):
 
 @functools.lru_cache
 def _cached_mel_filterbank(n_mels, n_fft, sample_rate):
-    """mel_filterbank over the full band, built once per key, read-only."""
+    """mel_filterbank, built once per key, read-only."""
     fb = mel_filterbank(n_mels, n_fft, sample_rate)
     fb.flags.writeable = False
     return fb
 
 
-def _mel_energies(power, n_fft, sample_rate, n_mels=N_MELS):
-    """Per-frame mel-filterbank energies of a power spectrogram."""
-    fb = _cached_mel_filterbank(n_mels, n_fft, sample_rate)
-    return power @ fb.T
-
-
-def _mfcc(mel, n_mfcc=N_MFCC):
-    """Frame-mean MFCCs of per-frame mel energies."""
+def _mfcc(mel):
+    """Frame-mean MFCCs of per-frame mel energies: log, then orthonormal DCT-II."""
     import scipy.fft
 
     logmel = np.log(np.maximum(mel, LOG_FLOOR))
-    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
+    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :N_MFCC]
     return coeffs.mean(axis=0)
-
-
-def mel_energies(clip, cfg=None, n_mels=N_MELS):
-    """Per-frame mel-filterbank energies, shape (frames, n_mels)."""
-    cfg = cfg or StftConfig()
-    return _mel_energies(stft_power(clip, cfg), cfg.n_fft, clip.sample_rate, n_mels)
-
-
-def mfcc(clip, cfg=None, n_mfcc=N_MFCC, n_mels=N_MELS):
-    """Frame-mean MFCCs: log mel energies through an orthonormal DCT-II."""
-    return _mfcc(mel_energies(clip, cfg, n_mels), n_mfcc)
-
-
-def mel_spectrogram_features(clip, cfg=None, n_mels=N_MELS):
-    """Frame-mean mel-filterbank energies (nonnegative, length n_mels)."""
-    return mel_energies(clip, cfg, n_mels).mean(axis=0)
 
 
 @functools.lru_cache
@@ -276,13 +252,6 @@ def _chroma_frames(power, n_fft, sample_rate):
     return chroma
 
 
-def chromagram(clip, cfg=None):
-    """Frame-mean 12-bin chroma vector, values in [0, 1]."""
-    cfg = cfg or StftConfig()
-    power = stft_power(clip, cfg)
-    return _chroma_frames(power, cfg.n_fft, clip.sample_rate).mean(axis=0)
-
-
 def _contrast_band_edges(sample_rate, n_bands):
     """Sub-200 Hz band plus octave bands doubling from 200 Hz."""
     edges = [0.0, 200.0]
@@ -308,51 +277,37 @@ def band_contrast(band_magnitudes, alpha):
     return peak - valley
 
 
-def _spectral_contrast(power, n_fft, sample_rate, n_bands=N_CONTRAST_BANDS, alpha=0.02):
-    """Frame-mean peak-valley log contrast of a power spectrogram."""
-    if not (0.02 <= alpha <= 0.2):
-        raise ValueError("alpha must lie in [0.02, 0.2]")
+def _spectral_contrast(power, n_fft, sample_rate):
+    """Frame-mean peak-valley log contrast of a power spectrogram in
+    N_CONTRAST_BANDS + 1 bands: below 200 Hz, then octaves up to Nyquist."""
     mag = np.sqrt(power)
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    edges = _contrast_band_edges(sample_rate, n_bands)
-    out = np.zeros((mag.shape[0], n_bands + 1))
-    for k in range(n_bands + 1):
-        if k < n_bands:
+    edges = _contrast_band_edges(sample_rate, N_CONTRAST_BANDS)
+    out = np.zeros((mag.shape[0], N_CONTRAST_BANDS + 1))
+    for k in range(N_CONTRAST_BANDS + 1):
+        if k < N_CONTRAST_BANDS:
             sel = (bin_freqs >= edges[k]) & (bin_freqs < edges[k + 1])
         else:
             sel = bin_freqs >= edges[k]
         if not np.any(sel):
             raise ValueError(f"contrast band {k} contains no FFT bins")
-        out[:, k] = band_contrast(mag[:, sel], alpha)
+        out[:, k] = band_contrast(mag[:, sel], CONTRAST_ALPHA)
     return out.mean(axis=0)
 
 
-def spectral_contrast(clip, cfg=None, n_bands=N_CONTRAST_BANDS, alpha=0.02):
-    """Frame-mean peak-valley log contrast in octave sub-bands.
-
-    Output has n_bands + 1 entries (sub-200 Hz band included).
-    """
-    cfg = cfg or StftConfig()
-    power = stft_power(clip, cfg)
-    return _spectral_contrast(power, cfg.n_fft, clip.sample_rate, n_bands, alpha)
-
-
-def tonnetz_transform(r_fifths=1.0, r_minor=1.0, r_major=0.5):
+def tonnetz_transform():
     """6x12 chroma-to-tonal-centroid projection.
 
-    Rows pair up as (sin, cos) coordinates on the circle of fifths,
-    of minor thirds and of major thirds, with the given radii.
+    Rows pair up as (sin, cos) coordinates on the circle of fifths
+    (radius 1), of minor thirds (radius 1) and of major thirds (radius 0.5).
     """
     l = np.arange(N_CHROMA)
+    fifths = l * 7.0 * np.pi / 6.0
+    minor = l * 3.0 * np.pi / 2.0
+    major = l * 2.0 * np.pi / 3.0
     return np.vstack(
-        [
-            r_fifths * np.sin(l * 7.0 * np.pi / 6.0),
-            r_fifths * np.cos(l * 7.0 * np.pi / 6.0),
-            r_minor * np.sin(l * 3.0 * np.pi / 2.0),
-            r_minor * np.cos(l * 3.0 * np.pi / 2.0),
-            r_major * np.sin(l * 2.0 * np.pi / 3.0),
-            r_major * np.cos(l * 2.0 * np.pi / 3.0),
-        ]
+        [np.sin(fifths), np.cos(fifths), np.sin(minor), np.cos(minor)]
+        + [0.5 * np.sin(major), 0.5 * np.cos(major)]
     )
 
 
@@ -371,18 +326,11 @@ def chroma_to_tonnetz(chroma_frames):
     return scaled @ phi.T
 
 
-def tonal_centroid(clip, cfg=None):
-    """Frame-mean 6-D tonal centroid of the chroma frames."""
-    cfg = cfg or StftConfig()
-    chroma = _chroma_frames(stft_power(clip, cfg), cfg.n_fft, clip.sample_rate)
-    return chroma_to_tonnetz(chroma).mean(axis=0)
-
-
 def extract_features(clip, cfg=None):
     """Full 193-dim feature vector in fixed block order, from one STFT."""
     cfg = cfg or StftConfig()
     power = stft_power(clip, cfg)
-    mel = _mel_energies(power, cfg.n_fft, clip.sample_rate)
+    mel = power @ _cached_mel_filterbank(N_MELS, cfg.n_fft, clip.sample_rate).T
     chroma = _chroma_frames(power, cfg.n_fft, clip.sample_rate)
     return FeatureVector(
         mfcc=_mfcc(mel),
@@ -391,3 +339,28 @@ def extract_features(clip, cfg=None):
         contrast=_spectral_contrast(power, cfg.n_fft, clip.sample_rate),
         tonnetz=chroma_to_tonnetz(chroma).mean(axis=0),
     )
+
+
+def mfcc(clip, cfg=None):
+    """Frame-mean MFCCs (N_MFCC values): the mfcc block of extract_features."""
+    return extract_features(clip, cfg).mfcc
+
+
+def mel_spectrogram_features(clip, cfg=None):
+    """Frame-mean mel energies (N_MELS values): the mel block of extract_features."""
+    return extract_features(clip, cfg).mel
+
+
+def chromagram(clip, cfg=None):
+    """Frame-mean chroma in [0, 1] (N_CHROMA values): the chroma block."""
+    return extract_features(clip, cfg).chroma
+
+
+def spectral_contrast(clip, cfg=None):
+    """Frame-mean contrast (N_CONTRAST_BANDS + 1 values): the contrast block."""
+    return extract_features(clip, cfg).contrast
+
+
+def tonal_centroid(clip, cfg=None):
+    """Frame-mean 6-D tonal centroid of the chroma frames: the tonnetz block."""
+    return extract_features(clip, cfg).tonnetz

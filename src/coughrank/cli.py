@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import DEFAULT_SAMPLE_RATE, extract_features, load_and_resample
+from .audio import extract_features, load_and_resample
 from .ensemble import ClosenessTable, fuse
 from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
 from .learn import rfecv, run_strategies, stratified_splits
@@ -122,7 +122,7 @@ def cmd_extract(args):
     failures = 0
     for wav in wavs:
         try:
-            clip = load_and_resample(wav, target_rate=args.rate)
+            clip = load_and_resample(wav)
             vec = extract_features(clip).concat()
         except (ValueError, OSError) as exc:
             log.warning("skipping %s: %s", wav, exc)
@@ -417,7 +417,6 @@ def build_parser():
     p.add_argument("input_dir")
     p.add_argument("--out", required=True, help="output features.csv")
     p.add_argument("--labels", help="optional labels.csv (sample_id,label)")
-    p.add_argument("--rate", type=int, default=DEFAULT_SAMPLE_RATE)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="build decision matrices from predictions")

@@ -6,6 +6,7 @@ digits so values round-trip through parse -> serialize unchanged.
 """
 
 import csv
+import math
 from itertools import islice
 
 import numpy as np
@@ -99,7 +100,8 @@ def write_features(path, rows):
 def read_features(path):
     """Parse features.csv into (sample_ids, labels or None, matrix).
 
-    Each sample_id may appear once; a repeat names its file and line.
+    Each sample_id may appear once, each label is empty, 0 or 1, and each
+    feature is finite; the first row that breaks a rule names its file and line.
     """
     ids, labels, values = [], [], []
     seen = set()
@@ -109,10 +111,16 @@ def read_features(path):
         seen.add(row[0])
         ids.append(row[0])
         try:
-            labels.append(None if row[1] == "" else int(row[1]))
-            values.append([float(v) for v in row[2:]])
+            label = None if row[1] == "" else int(row[1])
+            vec = [float(v) for v in row[2:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if label not in (None, 0, 1):
+            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"{path}:{lineno}: features must be finite")
+        labels.append(label)
+        values.append(vec)
     has_labels = all(l is not None for l in labels)
     return ids, (labels if has_labels else None), np.asarray(values)
 
@@ -146,7 +154,9 @@ def _convert(path, pending):
         except (ValueError, OverflowError):
             for i, (label, score) in enumerate(zip(labels, scores)):
                 try:
-                    int(label), float(score)
+                    if not -(2**63) <= int(label) < 2**63:
+                        raise ValueError(f"label {label!r} is outside the int64 range")
+                    float(score)
                 except ValueError as exc:
                     line = _group_line(path, model, strategy, len(ids) - len(labels) + i)
                     faults.append((line, f"{path}:{line}: {exc}"))
@@ -237,16 +247,26 @@ def write_decision_matrix(path, dm):
 
 
 def read_decision_matrix(path, criteria):
-    names, values = [], []
+    """A decision matrix; a repeated model or a non-finite value names its
+    file and line, and any other fault its file."""
+    names, values, seen = [], [], set()
     for lineno, row in _rows(path, ["model"] + [c.name for c in criteria]):
+        if row[0] in seen:
+            raise ValueError(f"{path}:{lineno}: repeated model {row[0]!r}")
+        seen.add(row[0])
         names.append(row[0])
         try:
             values.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return DecisionMatrix(
-        alternatives=names, criteria=list(criteria), values=np.asarray(values)
-    )
+        if not all(map(math.isfinite, values[-1])):
+            raise ValueError(f"{path}:{lineno}: decision matrix values must be finite")
+    try:
+        return DecisionMatrix(
+            alternatives=names, criteria=list(criteria), values=np.asarray(values)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_weights(path, criteria, wv):

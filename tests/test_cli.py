@@ -284,6 +284,20 @@ class TestEvaluate:
         assert "--threshold must lie in (0, 1)" in err
         assert "model" not in err and str(preds) not in err
 
+    def test_label_outside_int64_names_line(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(
+            "model,strategy,sample_id,true_label,score\n"
+            "a,1,s0,0,0.2\na,1,s1,1,0.8\n"
+            "b,1,s0,99999999999999999999,0.3\nb,1,s1,1,0.7\n"
+        )
+        code = main(["evaluate", str(preds), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert (
+            f"{preds}:4: label '99999999999999999999' is outside the int64 range"
+            in capsys.readouterr().err
+        )
+
     def test_single_model_rejected(self, tmp_path):
         preds = tmp_path / "predictions.csv"
         make_external_csv(preds, [f"s{i}" for i in range(10)], np.array([0, 1] * 5), n_models=1)
@@ -352,6 +366,25 @@ class TestRank:
         )
 
 
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+@pytest.mark.parametrize(
+    "rows, where, message",
+    [
+        ([("a", "0.5"), ("b", "inf")], ":3", "decision matrix values must be finite"),
+        ([("a", "0.5"), ("b", "0.7"), ("a", "0.6")], ":4", "repeated model 'a'"),
+        ([("a", "0.5")], "", "a decision matrix needs at least 2 alternatives"),
+    ],
+    ids=["inf", "repeated_model", "one_row"],
+)
+def test_decision_matrix_fault_names_file(tmp_path, capsys, command, rows, where, message):
+    matrix = tmp_path / "matrix.csv"
+    lines = [f"{m}," + ",".join([v] * len(METRIC_NAMES)) for m, v in rows]
+    matrix.write_text("\n".join(["model," + ",".join(METRIC_NAMES)] + lines) + "\n")
+    flag = ["--matrix"] if command == "evaluate" else []
+    assert main([command, *flag, str(matrix), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"error: {matrix}{where}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -364,6 +397,7 @@ class TestRank:
         ["rank", "m.csv", "--out", "o", "--tie-eps", "0.1"],
         ["pipeline", "f.csv", "--out", "o", "--tie-eps", "0.1"],
         ["rfecv", "f.csv", "--out", "c.csv", "--config", "run.cfg"],
+        ["extract", "wavs", "--out", "f.csv", "--rate", "16000"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -624,6 +658,37 @@ def test_repeated_feature_sample_id_rejected_before_training(
     assert main([command, str(features), "--out", str(out)]) == EXIT_INPUT
     assert f"{features}:22: repeated sample_id {ids[4]!r}" in capsys.readouterr().err
     assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "column, text, message",
+    [
+        (-1, "nan", "features must be finite"),
+        (-1, "inf", "features must be finite"),
+        (1, "2", "label must be 0 or 1, got '2'"),
+        (1, "99999999999999999999", "label must be 0 or 1, got '99999999999999999999'"),
+    ],
+    ids=["nan", "inf", "2", "outside_int64"],
+)
+@pytest.mark.parametrize("command", ["pipeline", "rfecv"])
+def test_bad_feature_row_names_line(
+    tmp_path, capsys, monkeypatch, command, column, text, message
+):
+    features = tmp_path / "features.csv"
+    make_features_csv(features, n_pos=10, n_neg=10)
+    lines = features.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = text
+    lines[5] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+
+    def no_training(*args, **kwargs):
+        pytest.fail("training started")
+
+    monkeypatch.setattr(cli, "run_strategies", no_training)
+    monkeypatch.setattr(cli, "rfecv", no_training)
+    assert main([command, str(features), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert f"error: {features}:6: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
