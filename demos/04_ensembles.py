@@ -7,27 +7,23 @@ ranking into points (best of m models earns m) and sums them.
 
 from pathlib import Path
 
-import numpy as np
-
-from coughrank.ensemble import ClosenessTable, fuse
-from coughrank.mcdm import entropy_weights, topsis
+from coughrank.ensemble import rank
 from coughrank.metrics import DEFAULT_CRITERIA
 from coughrank.tables import read_decision_matrix
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 for category in ("asymptomatic", "symptomatic"):
-    matrices = [
-        read_decision_matrix(
+    # entropy weights and TOPSIS per strategy, then both ensembles
+    ranking = rank({
+        str(s): read_decision_matrix(
             DATA / f"decision_matrix_{category}_strategy{s}.csv",
             list(DEFAULT_CRITERIA),
         )
         for s in (1, 2, 3)
-    ]
-    models = matrices[0].alternatives
-    closeness = np.column_stack([topsis(dm, entropy_weights(dm)).closeness for dm in matrices])
-    table = ClosenessTable(models, ["1", "2", "3"], closeness)
-    result = fuse(table)
+    })
+    models, closeness = ranking.closeness.models, ranking.closeness.closeness
+    result = ranking.ensemble
 
     print(f"\n=== {category} recordings ===")
     print("model          C_s1   C_s2   C_s3   soft   points  total")

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import __version__
 from .audio import extract_features, load_and_resample
-from .ensemble import ClosenessTable, fuse
+from .ensemble import RankError, rank
 from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
 from .learn import rfecv, run_strategies, stratified_splits
-from .mcdm import entropy_weights, topsis
 from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, build_decision_matrix, evaluate
 from . import tables
 
@@ -92,15 +91,15 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, config, inputs, seed, artifacts):
+def write_manifest(out_dir, config, inputs, seed):
     manifest = {
         "tool_version": __version__,
         "seed": seed,
         "config": config,
         "input_digests": {str(p): _sha256(p) for p in inputs},
-        "artifacts": sorted(Path(a).name for a in artifacts),
+        "artifacts": sorted(p.name for p in out_dir.glob("*.csv")),
     }
-    path = Path(out_dir) / "run_manifest.json"
+    path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
@@ -197,72 +196,44 @@ def cmd_evaluate(args):
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
-def _rank_matrices(matrices, out_dir, sources):
-    """Weights + TOPSIS per matrix, ensemble across them.
+def _rounded(keys, values):
+    """{key: value} with each value cut to the 9 digits the CSVs carry."""
+    return {k: float(tables.fmt(v)) for k, v in zip(keys, values)}
 
-    `matrices` maps strategy id -> DecisionMatrix with identical model
-    sets in identical order; `sources` maps it to its name in errors.
-    """
-    strategies = list(matrices)
-    models = list(matrices[strategies[0]].alternatives)
-    for strategy, dm in matrices.items():
-        if sorted(dm.alternatives) != sorted(models):
-            raise InputError("matrices disagree on the model set")
-        if np.all(dm.values == dm.values[0]):
-            raise InputError(
-                f"{sources[strategy]}: all criteria are constant; weights undefined"
-            )
-    closeness = np.empty((len(models), len(strategies)))
-    report_json = {"weights": {}, "topsis": {}}
-    degenerate = False
-    for j, strategy in enumerate(strategies):
-        dm = matrices[strategy]
-        wv = entropy_weights(dm)
-        result = topsis(dm, wv)
-        degenerate = degenerate or result.degenerate
-        reorder = [dm.alternatives.index(m) for m in models]
-        closeness[:, j] = result.closeness[reorder]
-        tables.write_weights(out_dir / f"weights_strategy{strategy}.csv", dm.criteria, wv)
-        tables.write_topsis_report(
-            out_dir / f"topsis_report_strategy{strategy}.csv", dm, result
-        )
-        report_json["weights"][strategy] = {
-            c.name: wv.weights[k] for k, c in enumerate(dm.criteria)
-        }
-        report_json["topsis"][strategy] = {
-            m: result.closeness[dm.alternatives.index(m)] for m in models
-        }
-    ct = ClosenessTable(models=models, strategies=strategies, closeness=closeness)
-    result = fuse(ct)
+
+def _rank_and_report(out_dir, matrices, sources, config, inputs, seed, degenerate):
+    """Rank `matrices`, write every ranking CSV, run_manifest.json and
+    report.json, print both verdicts and return the exit code; `sources`
+    names each strategy id in errors."""
+    try:
+        ranking = rank(matrices)
+    except RankError as exc:
+        raise InputError(f"{sources[exc.strategy]}: {exc}") from exc
+    ct, ens = ranking.closeness, ranking.ensemble
+    weights = {}
+    for s, dm in ranking.matrices.items():
+        wv, res = ranking.weights[s], ranking.topsis[s]
+        tables.write_weights(out_dir / f"weights_strategy{s}.csv", dm.criteria, wv)
+        tables.write_topsis_report(out_dir / f"topsis_report_strategy{s}.csv", dm, res)
+        weights[s] = _rounded([c.name for c in dm.criteria], wv.weights)
     tables.write_closeness(out_dir / "closeness.csv", ct)
-    tables.write_ensemble_report(out_dir / "ensemble_report.csv", result)
-    report_json["ensemble"] = {
-        "soft_best": result.soft_best,
-        "hard_best": result.hard_best,
-        "soft_scores": dict(zip(models, result.soft_scores)),
-        "hard_totals": dict(zip(models, (int(t) for t in result.hard_totals))),
-        "hard_points": {
-            m: [int(p) for p in result.hard_points[i]] for i, m in enumerate(models)
+    tables.write_ensemble_report(out_dir / "ensemble_report.csv", ens)
+    report = {
+        "weights": weights,
+        "topsis": {s: _rounded(ct.models, c) for s, c in zip(ct.strategies, ct.closeness.T)},
+        "ensemble": {
+            "soft_best": ens.soft_best,
+            "hard_best": ens.hard_best,
+            "soft_scores": _rounded(ct.models, ens.soft_scores),
+            "hard_totals": dict(zip(ct.models, ens.hard_totals.tolist())),
+            "hard_points": dict(zip(ct.models, ens.hard_points.tolist())),
         },
+        "manifest": write_manifest(out_dir, config, inputs, seed),
     }
-    return result, report_json, degenerate
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(tables.fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
-def _write_report_json(out_dir, report_json, manifest):
-    report_json = _round_floats(report_json)
-    report_json["manifest"] = manifest
-    path = Path(out_dir) / "report.json"
-    path.write_text(json.dumps(report_json, indent=2, sort_keys=True) + "\n")
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"soft ensemble best model: {ens.soft_best}")
+    print(f"hard ensemble best model: {ens.hard_best}")
+    return EXIT_DEGENERATE if degenerate or ranking.degenerate else EXIT_OK
 
 
 def cmd_rank(args):
@@ -271,27 +242,15 @@ def cmd_rank(args):
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
     )
-    matrices = {}
-    for i, path in enumerate(args.matrices, start=1):
-        dm = tables.read_decision_matrix(path, criteria)
+    sources = {str(i): path for i, path in enumerate(args.matrices, start=1)}
+    matrices = {k: tables.read_decision_matrix(p, criteria) for k, p in sources.items()}
+    for dm in matrices.values():
         # stable order regardless of row order in the file
         reorder = sorted(range(len(dm.alternatives)), key=lambda k: dm.alternatives[k])
         dm.alternatives = [dm.alternatives[k] for k in reorder]
         dm.values = dm.values[reorder]
-        matrices[str(i)] = dm
-    sources = {str(i): path for i, path in enumerate(args.matrices, start=1)}
-    result, report_json, degenerate = _rank_matrices(matrices, out_dir, sources)
-    manifest = write_manifest(
-        out_dir,
-        {},
-        list(args.matrices) + ([args.criteria] if args.criteria else []),
-        None,
-        sorted(out_dir.glob("*.csv")),
-    )
-    _write_report_json(out_dir, report_json, manifest)
-    print(f"soft ensemble best model: {result.soft_best}")
-    print(f"hard ensemble best model: {result.hard_best}")
-    return EXIT_DEGENERATE if degenerate else EXIT_OK
+    inputs = [*args.matrices, args.criteria] if args.criteria else args.matrices
+    return _rank_and_report(out_dir, matrices, sources, {}, inputs, None, False)
 
 
 def _load_dataset(features_csv, folds):
@@ -324,8 +283,9 @@ def _check_smote_k(ds, smote_k, seed, config_path):
 
 
 def _read_external(path, features_csv, ds):
-    """External prediction sets; none may take an in-repo model's place, and
-    each must cover exactly the ids of features.csv with their labels there."""
+    """External prediction sets; none may take an in-repo model's place, each
+    must cover exactly the ids of features.csv with their labels there, and
+    each model must come in exactly strategies 1, 2 and 3."""
     in_repo = {str(s) for s in STRATEGIES}
     known = dict(zip(ds.sample_ids, ds.labels.tolist()))
     prediction_sets = tables.read_predictions(path)
@@ -348,6 +308,14 @@ def _read_external(path, features_csv, ds):
         missing = next((sid for sid in known if sid not in present), None)
         if missing is not None:
             raise InputError(f"{path}: {group}: no row for sample_id {missing!r}")
+    for model in dict.fromkeys(ps.model_name for ps in prediction_sets):
+        found = {ps.strategy_id for ps in prediction_sets if ps.model_name == model}
+        odd = sorted(found ^ in_repo)
+        if odd:
+            raise InputError(
+                f"{path}: external model {model!r} {'has' if odd[0] in found else 'lacks'} "
+                f"strategy {odd[0]}; each needs exactly strategies 1, 2 and 3"
+            )
     return prediction_sets
 
 
@@ -375,21 +343,9 @@ def cmd_pipeline(args):
     sourced += [(args.external, ps) for ps in external]
     matrices, degenerate = _write_matrices(out_dir, sourced, list(DEFAULT_CRITERIA))
     sources = {s: f"strategy {s}" for s in matrices}
-    result, report_json, rank_degenerate = _rank_matrices(matrices, out_dir, sources)
-    degenerate = degenerate or rank_degenerate
-    inputs = [args.features] + ([args.external] if args.external else [])
-    inputs += [args.config] if args.config else []
-    manifest = write_manifest(
-        out_dir,
-        {"smote_k": smote_k, "threshold_objective": objective},
-        inputs,
-        args.seed,
-        sorted(out_dir.glob("*.csv")),
-    )
-    _write_report_json(out_dir, report_json, manifest)
-    print(f"soft ensemble best model: {result.soft_best}")
-    print(f"hard ensemble best model: {result.hard_best}")
-    return EXIT_DEGENERATE if degenerate else EXIT_OK
+    inputs = [p for p in (args.features, args.external, args.config) if p]
+    config = {"smote_k": smote_k, "threshold_objective": objective}
+    return _rank_and_report(out_dir, matrices, sources, config, inputs, args.seed, degenerate)
 
 
 def cmd_rfecv(args):

@@ -2,14 +2,15 @@
 
 The soft ensemble averages closeness across training strategies; the
 hard ensemble converts each strategy's closeness column into points
-(best model gets m points) and sums them.
+(best model gets m points) and sums them. `rank` runs the whole chain,
+entropy weights -> TOPSIS -> both ensembles, without I/O.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mcdm import competition_ranks
+from .mcdm import competition_ranks, entropy_weights, topsis
 
 # Points are awarded on closeness rounded to this many decimals so
 # near-identical scores share a point value.
@@ -40,7 +41,6 @@ class ClosenessTable:
 @dataclass
 class EnsembleResult:
     models: list
-    strategies: list
     soft_scores: np.ndarray
     soft_ranks: np.ndarray
     hard_points: np.ndarray
@@ -76,18 +76,16 @@ def fuse(ct):
     points = hard_points(ct)
     hard_totals = points.sum(axis=1)
     hard_ranks = competition_ranks(hard_totals)
-    order = np.arange(len(ct.models))
     soft_best = min(
-        order[soft_ranks == 1],
+        np.flatnonzero(soft_ranks == 1),
         key=lambda i: (-hard_totals[i], ct.models[i]),
     )
     hard_best = min(
-        order[hard_ranks == 1],
+        np.flatnonzero(hard_ranks == 1),
         key=lambda i: (-soft_scores[i], ct.models[i]),
     )
     return EnsembleResult(
         models=list(ct.models),
-        strategies=list(ct.strategies),
         soft_scores=soft_scores,
         soft_ranks=soft_ranks,
         hard_points=points,
@@ -96,3 +94,48 @@ def fuse(ct):
         soft_best=ct.models[soft_best],
         hard_best=ct.models[hard_best],
     )
+
+
+class RankError(ValueError):
+    """A decision matrix `rank` cannot rank; `strategy` is its key."""
+
+    def __init__(self, strategy, message):
+        super().__init__(message)
+        self.strategy = strategy
+
+
+@dataclass
+class Ranking:
+    """Everything `rank` computed; the dicts are keyed by strategy id."""
+
+    matrices: dict
+    weights: dict
+    topsis: dict
+    closeness: ClosenessTable
+    ensemble: EnsembleResult
+    degenerate: bool
+
+
+def rank(matrices):
+    """Entropy weights and TOPSIS per DecisionMatrix, then both ensembles.
+
+    `matrices` maps strategy id -> DecisionMatrix; models keep the first
+    matrix's order. RankError names a matrix whose model set differs from
+    the first's or whose criteria are all constant."""
+    models = list(next(iter(matrices.values())).alternatives)
+    weights, results = {}, {}
+    closeness = np.empty((len(models), len(matrices)))
+    for j, (key, dm) in enumerate(matrices.items()):
+        odd = sorted(set(models) ^ set(dm.alternatives))
+        if odd:
+            side = "missing here" if odd[0] in models else "not in the first matrix"
+            raise RankError(key, f"matrices disagree on the model set: {odd[0]!r} is {side}")
+        try:
+            weights[key] = entropy_weights(dm)
+        except ValueError as exc:
+            raise RankError(key, str(exc)) from exc
+        results[key] = topsis(dm, weights[key])
+        closeness[:, j] = results[key].closeness[[dm.alternatives.index(m) for m in models]]
+    table = ClosenessTable(models, list(matrices), closeness)
+    degenerate = any(r.degenerate for r in results.values())
+    return Ranking(dict(matrices), weights, results, table, fuse(table), degenerate)

@@ -365,6 +365,27 @@ class TestRank:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [("ac", "'b' is missing here"), ("abc", "'c' is not in the first matrix")],
+        ids=["lacks", "adds"],
+    )
+    def test_model_set_mismatch_names_file_and_model(self, tmp_path, capsys, second, message):
+        matrices = []
+        for name, models in (("a.csv", "ab"), ("b.csv", second), ("c.csv", second)):
+            path = tmp_path / name
+            rows = [
+                f"{m}," + ",".join([str(0.1 * (k + 1))] * len(METRIC_NAMES))
+                for k, m in enumerate(models)
+            ]
+            path.write_text("\n".join(["model," + ",".join(METRIC_NAMES)] + rows) + "\n")
+            matrices.append(str(path))
+        assert main(["rank", *matrices, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert (
+            f"error: {matrices[1]}: matrices disagree on the model set: {message}\n"
+            == capsys.readouterr().err
+        )
+
 
 @pytest.mark.parametrize("command", ["rank", "evaluate"])
 @pytest.mark.parametrize(
@@ -609,6 +630,42 @@ class TestPipeline:
             sid = bad_ids[4]
             assert f"{external}:{line}: model 'ext1' in strategy 2: sample_id {sid!r}" in err
             assert str(features) in err
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "groups, fault",
+        [
+            ([("ext0", "123"), ("ext1", "1")], "'ext1' lacks strategy 2"),
+            ([("ext0", "1234")], "'ext0' has strategy 4"),
+        ],
+        ids=["only_strategy_1", "strategy_4"],
+    )
+    def test_external_model_must_cover_strategies_1_to_3(
+        self, tmp_path, capsys, monkeypatch, groups, fault
+    ):
+        features = tmp_path / "features.csv"
+        ids, labels = make_features_csv(features, n_pos=10, n_neg=10)
+        external = tmp_path / "external.csv"
+        write_predictions(
+            external,
+            [
+                PredictionSet(model, s, ids, labels, np.linspace(0.1, 0.9, labels.size))
+                for model, strategies in groups
+                for s in strategies
+            ],
+        )
+
+        def no_training(*args, **kwargs):
+            pytest.fail("training started")
+
+        monkeypatch.setattr(cli, "run_strategies", no_training)
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--external", str(external), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert (
+            f"error: {external}: external model {fault}; each needs exactly strategies 1, 2 and 3"
+            in capsys.readouterr().err
+        )
         assert not (out / "predictions.csv").exists()
 
     def test_missing_labels_rejected(self, tmp_path):

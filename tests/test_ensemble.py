@@ -4,12 +4,17 @@ import pytest
 from coughrank.ensemble import (
     TIE_DECIMALS,
     ClosenessTable,
+    RankError,
     fuse,
     hard_points,
+    rank,
     soft_ensemble,
 )
+from coughrank.mcdm import entropy_weights, topsis
+from coughrank.metrics import DecisionMatrix
 
-from conftest import MODELS
+from conftest import MODELS, load_fixture_matrix
+from test_acceptance import category_closeness
 
 # Published closeness values per strategy (columns) and model (rows)
 ASYMPTOMATIC = np.array([
@@ -227,3 +232,74 @@ class TestClosenessTableValidation:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ClosenessTable(["a", "b"], ["1"], np.array([[1.2], [0.1]]))
+
+
+def fixture_matrices(category):
+    return {str(s): load_fixture_matrix(category, s) for s in (1, 2, 3)}
+
+
+class TestRank:
+    @pytest.mark.parametrize("category", ["asymptomatic", "symptomatic"])
+    def test_equals_the_acceptance_chain_bitwise(self, category):
+        ranking = rank(fixture_matrices(category))
+        oracle = category_closeness(category)
+        expected = fuse(oracle)
+        for key, dm in fixture_matrices(category).items():
+            weights = entropy_weights(dm).weights
+            np.testing.assert_array_equal(ranking.weights[key].weights, weights)
+        np.testing.assert_array_equal(ranking.closeness.closeness, oracle.closeness)
+        np.testing.assert_array_equal(ranking.ensemble.soft_scores, expected.soft_scores)
+        np.testing.assert_array_equal(ranking.ensemble.hard_points, expected.hard_points)
+        assert ranking.closeness.models == MODELS == ranking.ensemble.models
+        assert ranking.closeness.strategies == ["1", "2", "3"]
+        assert (ranking.ensemble.soft_best, ranking.ensemble.hard_best) == (
+            expected.soft_best,
+            expected.hard_best,
+        )
+        assert not ranking.degenerate
+
+    def test_models_keep_the_first_matrix_order(self):
+        matrices = fixture_matrices("symptomatic")
+        first = matrices["1"]
+        order = np.random.default_rng(4).permutation(len(MODELS))
+        matrices["1"] = DecisionMatrix(
+            [first.alternatives[i] for i in order], first.criteria, first.values[order]
+        )
+        ranking = rank(matrices)
+        models = [MODELS[i] for i in order]
+        assert ranking.closeness.models == models == ranking.ensemble.models
+        np.testing.assert_array_equal(
+            ranking.closeness.closeness[:, 0], topsis(matrices["1"]).closeness
+        )
+        np.testing.assert_array_equal(
+            ranking.closeness.closeness[:, 1], topsis(matrices["2"]).closeness[order]
+        )
+        assert list(ranking.matrices) == list(ranking.weights) == list(ranking.topsis)
+
+    @pytest.mark.parametrize("fault", ["lacks", "adds"])
+    def test_model_set_mismatch_names_its_key(self, fault):
+        matrices = fixture_matrices("asymptomatic")
+        dm = matrices["2"]
+        if fault == "lacks":
+            names, values = dm.alternatives[1:], dm.values[1:]
+            message = "'Extra-Trees' is missing here"
+        else:
+            names, values = dm.alternatives + ["extra"], np.vstack([dm.values, dm.values[:1]])
+            message = "'extra' is not in the first matrix"
+        matrices["2"] = DecisionMatrix(names, dm.criteria, values)
+        with pytest.raises(RankError) as err:
+            rank(matrices)
+        assert err.value.strategy == "2"
+        assert str(err.value) == f"matrices disagree on the model set: {message}"
+
+    def test_all_constant_matrix_names_its_key(self):
+        matrices = fixture_matrices("asymptomatic")
+        dm = matrices["3"]
+        matrices["3"] = DecisionMatrix(
+            dm.alternatives, dm.criteria, np.tile(dm.values[0], (len(MODELS), 1))
+        )
+        with pytest.raises(RankError) as err:
+            rank(matrices)
+        assert err.value.strategy == "3"
+        assert isinstance(err.value, ValueError)
+        assert str(err.value) == "all criteria are constant; weights undefined"
