@@ -22,7 +22,7 @@ from .audio import extract_features, load_and_resample
 from .ensemble import RankError, rank
 from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
 from .learn import rfecv, run_strategies, stratified_splits
-from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, build_decision_matrix, evaluate
+from .metrics import DEFAULT_CRITERIA, SWEEP_OBJECTIVES, build_decision_matrix, evaluate
 from . import tables
 
 log = logging.getLogger("coughrank")
@@ -38,7 +38,7 @@ STRATEGIES = (1, 2, 3)
 # pipeline --config keys, each with a test of its value and what it asks for
 PIPELINE_CONFIG = {
     "smote_k": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "threshold_objective": (lambda v: v in METRIC_NAMES, f"one of {METRIC_NAMES}"),
+    "threshold_objective": (lambda v: v in SWEEP_OBJECTIVES, f"one of {SWEEP_OBJECTIVES}"),
 }
 
 
@@ -91,13 +91,29 @@ def _sha256(path):
     return h.hexdigest()
 
 
+class _OutDir:
+    """An output directory, made if missing, that remembers the name of
+    every file this run writes to it through `out_dir / name`."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.written = set()
+
+    def __truediv__(self, name):
+        self.written.add(name)
+        return self.path / name
+
+
 def write_manifest(out_dir, config, inputs, seed):
+    """run_manifest.json; its artifacts are the CSVs this run wrote to the
+    _OutDir `out_dir`, whatever else lies there."""
     manifest = {
         "tool_version": __version__,
         "seed": seed,
         "config": config,
         "input_digests": {str(p): _sha256(p) for p in inputs},
-        "artifacts": sorted(p.name for p in out_dir.glob("*.csv")),
+        "artifacts": sorted(n for n in out_dir.written if n.endswith(".csv")),
     }
     path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -136,8 +152,9 @@ def cmd_extract(args):
 
 
 def _write_matrices(out_dir, sourced_sets, criteria):
-    """Group prediction sets by strategy, build one matrix per strategy and
-    write criteria.csv plus each strategy's matrix and evaluation reports.
+    """Group prediction sets by strategy, build one matrix per strategy, its
+    models in name order, and write criteria.csv plus each strategy's matrix
+    and evaluation reports.
 
     `sourced_sets` pairs each PredictionSet with the file it came from.
     """
@@ -152,7 +169,7 @@ def _write_matrices(out_dir, sourced_sets, criteria):
                 f"strategy {strategy}: need at least 2 models, got {len(group)}"
             )
         strategy_reports = {}
-        for model, (source, ps) in group.items():
+        for model, (source, ps) in sorted(group.items()):
             try:
                 strategy_reports[model] = evaluate(ps)
             except ValueError as exc:
@@ -176,8 +193,7 @@ def _write_matrices(out_dir, sourced_sets, criteria):
 
 
 def cmd_evaluate(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _OutDir(args.out)
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
     )
@@ -237,18 +253,12 @@ def _rank_and_report(out_dir, matrices, sources, config, inputs, seed, degenerat
 
 
 def cmd_rank(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _OutDir(args.out)
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
     )
     sources = {str(i): path for i, path in enumerate(args.matrices, start=1)}
     matrices = {k: tables.read_decision_matrix(p, criteria) for k, p in sources.items()}
-    for dm in matrices.values():
-        # stable order regardless of row order in the file
-        reorder = sorted(range(len(dm.alternatives)), key=lambda k: dm.alternatives[k])
-        dm.alternatives = [dm.alternatives[k] for k in reorder]
-        dm.values = dm.values[reorder]
     inputs = [*args.matrices, args.criteria] if args.criteria else args.matrices
     return _rank_and_report(out_dir, matrices, sources, {}, inputs, None, False)
 
@@ -320,8 +330,7 @@ def _read_external(path, features_csv, ds):
 
 
 def cmd_pipeline(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _OutDir(args.out)
     config = read_config(args.config) if args.config else {}
     smote_k = config.get("smote_k", 5)
     objective = config.get("threshold_objective", "f1")

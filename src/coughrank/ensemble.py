@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcdm import competition_ranks, entropy_weights, topsis
+from .metrics import DecisionMatrix
 
 # Points are awarded on closeness rounded to this many decimals so
 # near-identical scores share a point value.
@@ -119,13 +120,16 @@ class Ranking:
 def rank(matrices):
     """Entropy weights and TOPSIS per DecisionMatrix, then both ensembles.
 
-    `matrices` maps strategy id -> DecisionMatrix; models keep the first
-    matrix's order. RankError names a matrix whose model set differs from
-    the first's or whose criteria are all constant."""
-    models = list(next(iter(matrices.values())).alternatives)
+    `matrices` maps strategy id -> DecisionMatrix; all is computed on copies
+    with rows in model-name order (Ranking.matrices). RankError names a matrix
+    whose model set differs from the first's or whose criteria are all constant."""
+    ordered = {}
+    for key, dm in matrices.items():
+        rows = sorted(range(len(dm.alternatives)), key=dm.alternatives.__getitem__)
+        ordered[key] = DecisionMatrix([dm.alternatives[i] for i in rows], dm.criteria, dm.values[rows])
+    models = next(iter(ordered.values())).alternatives
     weights, results = {}, {}
-    closeness = np.empty((len(models), len(matrices)))
-    for j, (key, dm) in enumerate(matrices.items()):
+    for key, dm in ordered.items():
         odd = sorted(set(models) ^ set(dm.alternatives))
         if odd:
             side = "missing here" if odd[0] in models else "not in the first matrix"
@@ -135,7 +139,7 @@ def rank(matrices):
         except ValueError as exc:
             raise RankError(key, str(exc)) from exc
         results[key] = topsis(dm, weights[key])
-        closeness[:, j] = results[key].closeness[[dm.alternatives.index(m) for m in models]]
-    table = ClosenessTable(models, list(matrices), closeness)
+    closeness = np.column_stack([r.closeness for r in results.values()])
+    table = ClosenessTable(list(models), list(ordered), closeness)
     degenerate = any(r.degenerate for r in results.values())
-    return Ranking(dict(matrices), weights, results, table, fuse(table), degenerate)
+    return Ranking(ordered, weights, results, table, fuse(table), degenerate)

@@ -183,16 +183,19 @@ def evaluate(preds):
 
 
 DEFAULT_THRESHOLD_GRID = tuple(np.round(np.arange(0.01, 1.0, 0.01), 2))
+# the benefit criteria, which threshold_sweep can maximise
+SWEEP_OBJECTIVES = tuple(c.name for c in DEFAULT_CRITERIA if c.direction == BENEFIT)
 
 
 def threshold_sweep(true_labels, scores, objective="f1"):
     """Pick the cutoff of DEFAULT_THRESHOLD_GRID at which the 0/1 array
-    `true_labels` and the array `scores` maximize `objective`.
+    `true_labels` and the array `scores` maximize `objective`, one of
+    SWEEP_OBJECTIVES.
 
     Ties break toward the cutoff nearest 0.5, then the smaller cutoff.
     """
-    if objective not in METRIC_NAMES:
-        raise ValueError(f"unknown objective {objective!r}")
+    if objective not in SWEEP_OBJECTIVES:
+        raise ValueError(f"objective must be one of {SWEEP_OBJECTIVES}, got {objective!r}")
     auc = rank_auc(true_labels, scores)
     best = None
     for cutoff in DEFAULT_THRESHOLD_GRID:

@@ -365,6 +365,22 @@ class TestRank:
             in capsys.readouterr().err
         )
 
+    def test_manifest_lists_only_files_this_run_wrote(self, tmp_path):
+        out, _ = self.run_rank(tmp_path, "asymptomatic")
+        (out / "unrelated.csv").write_text("x\n1\n")
+        matrices = [str(DATA_DIR / f"decision_matrix_asymptomatic_strategy{s}.csv") for s in (1, 2)]
+        assert main(["rank", *matrices, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == [
+            "closeness.csv",
+            "ensemble_report.csv",
+            "topsis_report_strategy1.csv",
+            "topsis_report_strategy2.csv",
+            "weights_strategy1.csv",
+            "weights_strategy2.csv",
+        ]
+        assert (out / "weights_strategy3.csv").exists()
+
     @pytest.mark.parametrize(
         "second, message",
         [("ac", "'b' is missing here"), ("abc", "'c' is not in the first matrix")],
@@ -530,6 +546,8 @@ class TestPipeline:
             ("smote_k = 0\n", 1),
             ("smote_k = true\n", 1),
             ("smote_k = 2.5\n", 1),
+            ("smote_k = 3\nthreshold_objective = fpr\n", 2),
+            ("threshold_objective = fnr\n", 1),
         ],
         ids=[
             "unknown_key",
@@ -539,6 +557,8 @@ class TestPipeline:
             "smote_k_zero",
             "smote_k_bool",
             "smote_k_float",
+            "cost_objective_fpr",
+            "cost_objective_fnr",
         ],
     )
     def test_bad_config_rejected_before_training(

@@ -238,42 +238,62 @@ def fixture_matrices(category):
     return {str(s): load_fixture_matrix(category, s) for s in (1, 2, 3)}
 
 
+def name_sorted(dm):
+    """`dm` with its rows in model-name order."""
+    rows = sorted(range(len(dm.alternatives)), key=lambda i: dm.alternatives[i])
+    return DecisionMatrix([dm.alternatives[i] for i in rows], dm.criteria, dm.values[rows])
+
+
 class TestRank:
     @pytest.mark.parametrize("category", ["asymptomatic", "symptomatic"])
     def test_equals_the_acceptance_chain_bitwise(self, category):
+        """The hand chain of test_acceptance.category_closeness, run on the
+        fixture rows in model-name order."""
         ranking = rank(fixture_matrices(category))
-        oracle = category_closeness(category)
+        ordered = {k: name_sorted(dm) for k, dm in fixture_matrices(category).items()}
+        models = sorted(MODELS)
+        oracle = ClosenessTable(
+            models, ["1", "2", "3"], np.column_stack([topsis(dm).closeness for dm in ordered.values()])
+        )
         expected = fuse(oracle)
-        for key, dm in fixture_matrices(category).items():
+        for key, dm in ordered.items():
             weights = entropy_weights(dm).weights
             np.testing.assert_array_equal(ranking.weights[key].weights, weights)
         np.testing.assert_array_equal(ranking.closeness.closeness, oracle.closeness)
         np.testing.assert_array_equal(ranking.ensemble.soft_scores, expected.soft_scores)
         np.testing.assert_array_equal(ranking.ensemble.hard_points, expected.hard_points)
-        assert ranking.closeness.models == MODELS == ranking.ensemble.models
+        assert ranking.closeness.models == models == ranking.ensemble.models
         assert ranking.closeness.strategies == ["1", "2", "3"]
         assert (ranking.ensemble.soft_best, ranking.ensemble.hard_best) == (
             expected.soft_best,
             expected.hard_best,
         )
         assert not ranking.degenerate
+        # the verdicts of the published fixture order
+        published = fuse(category_closeness(category))
+        assert (published.soft_best, published.hard_best) == (expected.soft_best, expected.hard_best)
 
-    def test_models_keep_the_first_matrix_order(self):
+    def test_models_come_out_in_name_order(self):
         matrices = fixture_matrices("symptomatic")
-        first = matrices["1"]
-        order = np.random.default_rng(4).permutation(len(MODELS))
-        matrices["1"] = DecisionMatrix(
-            [first.alternatives[i] for i in order], first.criteria, first.values[order]
-        )
+        rng = np.random.default_rng(4)
+        for key, dm in matrices.items():
+            order = rng.permutation(len(MODELS))
+            matrices[key] = DecisionMatrix(
+                [dm.alternatives[i] for i in order], dm.criteria, dm.values[order]
+            )
+        given = {k: (list(dm.alternatives), dm.values.copy()) for k, dm in matrices.items()}
         ranking = rank(matrices)
-        models = [MODELS[i] for i in order]
+        models = sorted(MODELS)
         assert ranking.closeness.models == models == ranking.ensemble.models
-        np.testing.assert_array_equal(
-            ranking.closeness.closeness[:, 0], topsis(matrices["1"]).closeness
-        )
-        np.testing.assert_array_equal(
-            ranking.closeness.closeness[:, 1], topsis(matrices["2"]).closeness[order]
-        )
+        for key, dm in ranking.matrices.items():
+            assert dm.alternatives == models
+            np.testing.assert_array_equal(dm.values, name_sorted(matrices[key]).values)
+            np.testing.assert_array_equal(
+                ranking.closeness.closeness[:, int(key) - 1], topsis(dm).closeness
+            )
+        for key, dm in matrices.items():
+            assert dm.alternatives == given[key][0]
+            np.testing.assert_array_equal(dm.values, given[key][1])
         assert list(ranking.matrices) == list(ranking.weights) == list(ranking.topsis)
 
     @pytest.mark.parametrize("fault", ["lacks", "adds"])

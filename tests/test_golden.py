@@ -1,10 +1,12 @@
-"""Golden `rank` artifacts: the outputs on the bundled fixtures, pinned.
+"""Golden artifacts: the outputs of `rank` and `pipeline --external`, pinned.
 
-`tests/data/golden.json` holds, per fixture category, the SHA-256 of every
-CSV that `rank` writes, its `report.json` and `run_manifest.json` with
-input paths cut to file names, and the two verdict lines it prints. A
-change that moves any byte fails here and has to regenerate the file,
-which makes the moved set part of its diff:
+`tests/data/golden.json` holds, per run, the SHA-256 of every CSV it
+writes, its `report.json` and `run_manifest.json` with input paths cut to
+file names, and the two verdict lines it prints. The runs are `rank` on
+each bundled fixture category and `pipeline --external` on the seed-1
+`train_rank` inputs of `perfbench/gen.py`, generated under a temporary
+directory. A change that moves any byte fails here and has to regenerate
+the file, which makes the moved set part of its diff:
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -14,6 +16,7 @@ other versions the test fails and names both.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -27,7 +30,9 @@ from coughrank.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA_DIR / "golden.json"
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 CATEGORIES = ("asymptomatic", "symptomatic")
+PIPELINE_SEED = 1
 
 
 def versions():
@@ -43,12 +48,10 @@ def _names_for_paths(manifest):
     return manifest
 
 
-def rank_record(category, out):
-    """What `rank` writes and prints for one fixture category."""
-    matrices = [str(DATA_DIR / f"decision_matrix_{category}_strategy{s}.csv") for s in (1, 2, 3)]
-    criteria = str(DATA_DIR / "criteria.csv")
+def run_record(argv, out):
+    """What `cli.main(argv + ["--out", out])` writes and prints."""
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        code = main(["rank", *matrices, "--criteria", criteria, "--out", str(out)])
+        code = main([*argv, "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     report["manifest"] = _names_for_paths(report["manifest"])
@@ -62,6 +65,24 @@ def rank_record(category, out):
         ),
         "stdout": stdout.getvalue().splitlines(),
     }
+
+
+def rank_record(category, out):
+    """What `rank` writes and prints for one fixture category."""
+    matrices = [str(DATA_DIR / f"decision_matrix_{category}_strategy{s}.csv") for s in (1, 2, 3)]
+    return run_record(["rank", *matrices, "--criteria", str(DATA_DIR / "criteria.csv")], out)
+
+
+def pipeline_record(tmp):
+    """What `pipeline --external` writes and prints on the seed-1
+    `train_rank` inputs, which `perfbench/gen.py` generates under `tmp`."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inputs = tmp / "inputs"
+    gen.generate("train_rank", PIPELINE_SEED, inputs)
+    argv = ["pipeline", str(inputs / "features.csv"), "--external", str(inputs / "external.csv")]
+    return run_record(argv, tmp / "out")
 
 
 def load_golden():
@@ -78,14 +99,23 @@ def load_golden():
     return golden
 
 
-@pytest.mark.parametrize("category", CATEGORIES)
-def test_rank_artifacts_match_golden(tmp_path, category):
-    want = load_golden()["rank"][category]
-    got = rank_record(category, tmp_path)
+def assert_matches(got, want):
     assert got["stdout"] == want["stdout"]
     assert got["csv_sha256"] == want["csv_sha256"]
     assert got["run_manifest.json"] == want["run_manifest.json"]
     assert got["report.json"] == want["report.json"]
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_rank_artifacts_match_golden(tmp_path, category):
+    assert_matches(rank_record(category, tmp_path), load_golden()["rank"][category])
+
+
+def test_pipeline_external_artifacts_match_golden(tmp_path):
+    want = load_golden()["pipeline_external"]
+    got = pipeline_record(tmp_path)
+    assert len(got["csv_sha256"]) == 16
+    assert_matches(got, want)
 
 
 def write_golden():
@@ -93,6 +123,7 @@ def write_golden():
         record = {
             "versions": versions(),
             "rank": {c: rank_record(c, Path(tmp) / c) for c in CATEGORIES},
+            "pipeline_external": pipeline_record(Path(tmp) / "pipeline"),
         }
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -17,6 +17,7 @@ from coughrank.metrics import (
     METRIC_NAMES,
     EvaluationReport,
     PredictionSet,
+    SWEEP_OBJECTIVES,
     evaluate,
     rank_auc,
     threshold_sweep,
@@ -160,8 +161,14 @@ def test_evaluate_matches_rebuilt(name, labels, scores):
 
 @pytest.mark.parametrize("objective", METRIC_NAMES)
 def test_threshold_sweep_matches_rebuilt(objective):
+    """The former path also maximised the cost criteria fpr and fnr, which
+    picks the worst cutoff; the sweep now rejects them."""
     for name, labels, scores in CASES:
         preds = make_preds(labels, scores)
+        if objective not in SWEEP_OBJECTIVES:
+            with pytest.raises(ValueError, match=f"got {objective!r}"):
+                threshold_sweep(preds.true_labels, preds.scores, objective=objective)
+            continue
         try:
             expected = rebuilt_sweep(preds, objective)
         except ValueError as exc:
