@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import InputError
+
 DEFAULT_SAMPLE_RATE = 22050
 
 N_MFCC = 40
@@ -101,7 +103,7 @@ def load_and_resample(path):
     Supports 8/16/24-bit integer and 32-bit float encodings, 1-2
     channels, scaled to [-1, 1] by the file's encoding. Stereo is
     averaged to mono; resampling is polyphase windowed-sinc
-    interpolation.
+    interpolation. A file that breaks these rules raises InputError.
     """
     import scipy.io.wavfile
 
@@ -110,13 +112,15 @@ def load_and_resample(path):
     except FileNotFoundError:
         raise
     except Exception as exc:
-        raise ValueError(f"unreadable WAV file {path!r}: {exc}") from exc
+        raise InputError(f"unreadable WAV file {path!r}: {exc}") from exc
     if data.size == 0:
-        raise ValueError(f"zero-length audio in {path!r}")
+        raise InputError(f"zero-length audio in {path!r}")
+    if rate <= 0:
+        raise InputError(f"{path!r}: sample rate must be positive, got {rate} Hz")
     encoding = data.dtype
     if data.ndim == 2:
         if data.shape[1] > 2:
-            raise ValueError(f"{path!r}: only mono/stereo supported")
+            raise InputError(f"{path!r}: only mono/stereo supported")
         # Mixing before scaling gives the bits of scaling first: the
         # channel sum and the offset are exact, every scale a power of two.
         data = data.astype(np.float64).mean(axis=1)
@@ -131,7 +135,9 @@ def load_and_resample(path):
     elif encoding in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise ValueError(f"{path!r}: unsupported WAV encoding {encoding}")
+        raise InputError(f"{path!r}: unsupported WAV encoding {encoding}")
+    if not np.all(np.isfinite(samples)):
+        raise InputError(f"{path!r}: samples must be finite")
 
     if rate != DEFAULT_SAMPLE_RATE:
         import scipy.signal
@@ -141,8 +147,6 @@ def load_and_resample(path):
             samples, ratio.numerator, ratio.denominator
         )
         samples = np.clip(samples, -1.0, 1.0)
-    if samples.size == 0:
-        raise ValueError(f"{path!r}: resampling produced no samples")
     return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
 
 

@@ -4,8 +4,8 @@ Subcommands: extract | evaluate | rank | pipeline | rfecv. All runs are
 deterministic: identical inputs, config and seed produce byte-identical
 outputs.
 
-Exit codes: 0 success, 1 internal error, 2 input/validation error,
-3 numerical degeneracy (results written, but some metric was flagged).
+Exit codes: 0 success, 1 a defect (any exception but those of 2), 2 an InputError
+or OSError, 3 numerical degeneracy (results written, but some metric was flagged).
 """
 
 import argparse
@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import InputError, __version__
 from .audio import extract_features, load_and_resample
 from .ensemble import RankError, rank
 from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
 from .learn import rfecv, run_strategies, stratified_splits
-from .metrics import DEFAULT_CRITERIA, SWEEP_OBJECTIVES, build_decision_matrix, evaluate
+from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, SWEEP_OBJECTIVES
+from .metrics import build_decision_matrix, evaluate
 from . import tables
 
 log = logging.getLogger("coughrank")
@@ -42,14 +43,14 @@ PIPELINE_CONFIG = {
 }
 
 
-class InputError(Exception):
-    """Invalid input file or option combination (exit code 2)."""
-
-
 def read_config(path):
     """Flat `key = value` pipeline config checked against PIPELINE_CONFIG."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     config = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -59,7 +60,7 @@ def read_config(path):
         key, value = key.strip(), value.strip()
         try:
             value = json.loads(value)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             pass
         if key not in PIPELINE_CONFIG:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
@@ -139,7 +140,7 @@ def cmd_extract(args):
         try:
             clip = load_and_resample(wav)
             vec = extract_features(clip).concat()
-        except (ValueError, OSError) as exc:
+        except (InputError, OSError) as exc:
             log.warning("skipping %s: %s", wav, exc)
             failures += 1
             continue
@@ -193,6 +194,8 @@ def _write_matrices(out_dir, sourced_sets, criteria):
 
 
 def cmd_evaluate(args):
+    if not args.predictions and not args.matrix:
+        raise InputError("evaluate: a predictions file or --matrix is required")
     out_dir = _OutDir(args.out)
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
@@ -205,6 +208,8 @@ def cmd_evaluate(args):
         return EXIT_OK
     if not 0.0 < args.threshold < 1.0:
         raise InputError("--threshold must lie in (0, 1)")
+    if unknown := [c.name for c in criteria if c.name not in METRIC_NAMES]:
+        raise InputError(f"{args.criteria}: {unknown[0]!r} is not one of {METRIC_NAMES}")
     prediction_sets = tables.read_predictions(args.predictions, threshold=args.threshold)
     _, degenerate = _write_matrices(
         out_dir, [(args.predictions, ps) for ps in prediction_sets], criteria
@@ -344,9 +349,10 @@ def cmd_pipeline(args):
         for model in IN_REPO_MODELS
     ]
     log.info("training %d (strategy, model) cells", len(cells))
-    prediction_sets = run_strategies(
-        ds, cells, seed=args.seed, smote_k=smote_k, threshold_objective=objective
-    )
+    try:
+        prediction_sets = run_strategies(ds, cells, args.seed, smote_k, objective)
+    except InputError as exc:  # the objective is undefined on these data
+        raise InputError(f"{args.features}: {exc}") from exc
     tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
     sourced = [(args.features, ps) for ps in prediction_sets]
     sourced += [(args.external, ps) for ps in external]
@@ -419,15 +425,12 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "evaluate" and not args.predictions and not args.matrix:
-        print("evaluate: a predictions file or --matrix is required", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
-    except (InputError, ValueError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         log.exception("internal error: %s", exc)
         return EXIT_INTERNAL
 

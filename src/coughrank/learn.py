@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .metrics import PredictionSet, rank_auc, threshold_sweep
 
 DEFAULT_SEED = 42
@@ -380,8 +381,8 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
     uses SMOTE, are built once. SMOTE is applied to the training
     portion only. Strategy 3 picks hyper-parameters per outer fold by
     inner 5-fold grid search on AUC. The decision threshold is chosen
-    on training-fold predictions and averaged over folds. Returns one
-    PredictionSet per cell, in the order of `cells`.
+    on training-fold predictions and averaged over folds (InputError if the objective
+    is undefined at every cutoff). Returns one PredictionSet per cell, in `cells` order.
     """
     for model_name, _ in cells:
         if model_name not in _TRAINERS:
@@ -407,9 +408,10 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
             model = fit(X_fit, y_fit, **params)
             oof_scores[c, te] = predict(model, X_te)
             train_scores = np.clip(predict(model, X_tr), 0.0, 1.0)
-            thresholds[c].append(
-                threshold_sweep(y_tr, train_scores, objective=threshold_objective)
-            )
+            try:
+                thresholds[c].append(threshold_sweep(y_tr, train_scores, threshold_objective))
+            except ValueError as exc:
+                raise InputError(f"model {model_name!r} in strategy {cfg.id}: {exc}") from exc
     order = np.argsort(np.asarray(ds.sample_ids, dtype=object), kind="stable")
     return [
         PredictionSet(

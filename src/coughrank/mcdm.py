@@ -62,7 +62,9 @@ def entropy_weights(dm):
 
 
 def vector_normalize(values):
-    """Column-wise division by the Euclidean norm; all-zero columns stay zero."""
+    """Column-wise division by the Euclidean norm; all-zero columns stay zero.
+    Each column is first scaled by a power of two (exact), so no square overflows."""
+    values = np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1])
     norms = np.sqrt((values**2).sum(axis=0))
     return np.divide(values, norms, out=np.zeros_like(values), where=norms > 0)
 

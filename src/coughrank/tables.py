@@ -11,6 +11,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import InputError
 from .audio import FEATURE_COLUMNS
 from .metrics import (
     BENEFIT,
@@ -44,20 +45,47 @@ def _rows(path, header):
     """Yield (line number, row) for each row of a CSV file.
 
     The first row must equal `header` and every later row must have
-    len(header) columns; otherwise ValueError names the file and line.
+    len(header) columns; otherwise InputError names the file and line, as
+    it does for text that is not CSV (the line) or not UTF-8 (the file).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header:
-            shown = header if len(header) < 10 else header[:2] + ["..."]
-            raise ValueError(
-                f"{path}: expected the {len(header)}-column header {','.join(shown)}"
-            )
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                raise ValueError(f"{path}:{reader.line_num}: expected {width} columns")
-            yield reader.line_num, row
+        try:
+            if next(reader, None) != header:
+                shown = header if len(header) < 10 else header[:2] + ["..."]
+                raise InputError(
+                    f"{path}: expected the {len(header)}-column header {','.join(shown)}"
+                )
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    raise InputError(f"{path}:{reader.line_num}: expected {width} columns")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _unique_rows(path, header, key):
+    """_rows, with an InputError at the first row whose first field, its `key`, recurs."""
+    seen = set()
+    for lineno, row in _rows(path, header):
+        if row[0] in seen:
+            raise InputError(f"{path}:{lineno}: repeated {key} {row[0]!r}")
+        seen.add(row[0])
+        yield lineno, row
+
+
+def _finite_floats(path, lineno, fields, what):
+    """`fields` as finite floats, or an InputError naming the file and line."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise InputError(f"{path}:{lineno}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{path}:{lineno}: {what} must be finite")
+    return values
 
 
 def read_labels(path, sample_ids):
@@ -66,21 +94,19 @@ def read_labels(path, sample_ids):
     Each id needs a row, and each row an id; a row may not repeat an id.
     """
     labels = {}
-    for lineno, (sid, value) in _rows(path, ["sample_id", "label"]):
+    for lineno, (sid, value) in _unique_rows(path, ["sample_id", "label"], "sample_id"):
         label = LABEL_VALUES.get(value.lower())
         if label is None:
-            raise ValueError(
+            raise InputError(
                 f"{path}:{lineno}: unknown label {value!r}, expected "
                 "1/covid/positive or 0/non-covid/negative"
             )
         if sid not in sample_ids:
-            raise ValueError(f"{path}:{lineno}: no WAV file for sample_id {sid!r}")
-        if sid in labels:
-            raise ValueError(f"{path}:{lineno}: repeated sample_id {sid!r}")
+            raise InputError(f"{path}:{lineno}: no WAV file for sample_id {sid!r}")
         labels[sid] = label
     for sid in sample_ids:
         if sid not in labels:
-            raise ValueError(f"{path}: no row for sample_id {sid!r}")
+            raise InputError(f"{path}: no row for sample_id {sid!r}")
     return labels
 
 
@@ -104,23 +130,12 @@ def read_features(path):
     feature is finite; the first row that breaks a rule names its file and line.
     """
     ids, labels, values = [], [], []
-    seen = set()
-    for lineno, row in _rows(path, FEATURES_HEADER):
-        if row[0] in seen:
-            raise ValueError(f"{path}:{lineno}: repeated sample_id {row[0]!r}")
-        seen.add(row[0])
+    for lineno, row in _unique_rows(path, FEATURES_HEADER, "sample_id"):
         ids.append(row[0])
-        try:
-            label = None if row[1] == "" else int(row[1])
-            vec = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if label not in (None, 0, 1):
-            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
-        if not all(map(math.isfinite, vec)):
-            raise ValueError(f"{path}:{lineno}: features must be finite")
-        labels.append(label)
-        values.append(vec)
+        if row[1] not in ("", "0", "1"):
+            raise InputError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
+        labels.append(None if row[1] == "" else int(row[1]))
+        values.append(_finite_floats(path, lineno, row[2:], "features"))
     has_labels = all(l is not None for l in labels)
     return ids, (labels if has_labels else None), np.asarray(values)
 
@@ -164,7 +179,7 @@ def _convert(path, pending):
             else:
                 raise
     if faults:
-        raise ValueError(min(faults)[1])
+        raise InputError(min(faults)[1])
 
 
 def read_predictions(path, threshold=0.5):
@@ -199,26 +214,16 @@ def read_predictions(path, threshold=0.5):
         if len(set(ids)) != len(ids):
             seen = set()
             index = next(i for i, sid in enumerate(ids) if sid in seen or seen.add(sid))
-            raise ValueError(
+            raise InputError(
                 f"{path}:{_group_line(path, model, strategy, index)}: sample_id "
                 f"{ids[index]!r} repeated in model {model!r}, strategy {strategy}"
             )
         labels, scores = (r[0] if len(r) == 1 else np.concatenate(r) for r in zip(*runs))
         runs.clear()
         try:
-            ps = PredictionSet(
-                model_name=model,
-                strategy_id=strategy,
-                sample_ids=ids,
-                true_labels=labels,
-                scores=scores,
-                threshold=threshold,
-            )
+            out.append(PredictionSet(model, strategy, ids, labels, scores, threshold))
         except ValueError as exc:
-            raise ValueError(
-                f"{path}: model {model!r} in strategy {strategy}: {exc}"
-            ) from exc
-        out.append(ps)
+            raise InputError(f"{path}: model {model!r} in strategy {strategy}: {exc}") from exc
     return out
 
 
@@ -229,10 +234,12 @@ def write_criteria(path, criteria):
 
 def read_criteria(path):
     criteria = []
-    for lineno, (name, direction) in _rows(path, ["name", "direction"]):
+    for lineno, (name, direction) in _unique_rows(path, ["name", "direction"], "criterion"):
         if direction not in (BENEFIT, COST):
-            raise ValueError(f"{path}:{lineno}: direction must be {BENEFIT} or {COST}")
+            raise InputError(f"{path}:{lineno}: direction must be {BENEFIT} or {COST}")
         criteria.append(CriterionSpec(name, direction))
+    if not criteria:
+        raise InputError(f"{path}: no criteria")
     return criteria
 
 
@@ -249,24 +256,13 @@ def write_decision_matrix(path, dm):
 def read_decision_matrix(path, criteria):
     """A decision matrix; a repeated model or a non-finite value names its
     file and line, and any other fault its file."""
-    names, values, seen = [], [], set()
-    for lineno, row in _rows(path, ["model"] + [c.name for c in criteria]):
-        if row[0] in seen:
-            raise ValueError(f"{path}:{lineno}: repeated model {row[0]!r}")
-        seen.add(row[0])
+    names, values = [], []
+    for lineno, row in _unique_rows(path, ["model"] + [c.name for c in criteria], "model"):
         names.append(row[0])
-        try:
-            values.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not all(map(math.isfinite, values[-1])):
-            raise ValueError(f"{path}:{lineno}: decision matrix values must be finite")
-    try:
-        return DecisionMatrix(
-            alternatives=names, criteria=list(criteria), values=np.asarray(values)
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        values.append(_finite_floats(path, lineno, row[1:], "decision matrix values"))
+    if len(names) < 2:
+        raise InputError(f"{path}: a decision matrix needs at least 2 alternatives")
+    return DecisionMatrix(names, list(criteria), np.asarray(values))
 
 
 def write_weights(path, criteria, wv):

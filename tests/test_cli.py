@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -215,6 +216,29 @@ class TestExtract:
         assert main(["extract", str(wav_dir), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("zero_rate", "sample rate must be positive, got 0 Hz"), ("nan", "samples must be finite")],
+    )
+    def test_undecodable_wav_is_skipped(self, tmp_path, caplog, fault, message):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "good.wav", 440)
+        bad = wav_dir / "bad.wav"
+        if fault == "zero_rate":
+            write_wav(bad, 440)
+            data = bytearray(bad.read_bytes())
+            data[24:32] = bytes(8)  # the fmt chunk's sample rate and byte rate
+            bad.write_bytes(bytes(data))
+        else:
+            wavfile.write(bad, 8000, np.full(800, np.nan, dtype=np.float32))
+        out = tmp_path / "features.csv"
+        with caplog.at_level(logging.INFO, logger="coughrank"):
+            assert main(["extract", str(wav_dir), "--out", str(out)]) == EXIT_OK
+        assert read_features(out)[0] == ["good"]
+        assert f"skipping {bad}: " in caplog.text and message in caplog.text
+        assert "wrote 1 feature rows" in caplog.text and "(1 failures)" in caplog.text
+
     def test_empty_directory_is_input_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -246,6 +270,25 @@ class TestEvaluate:
 
     def test_missing_inputs_rejected(self, tmp_path):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("name,direction\nacc,benefit\nbrier,cost\n", "'brier' is not one of"),
+            ("name,direction\nacc,benefit\nacc,cost\n", ":3: repeated criterion 'acc'"),
+            ("name,direction\n", ": no criteria"),
+        ],
+        ids=["unknown", "repeated", "none"],
+    )
+    def test_bad_criteria_file_names_it(self, tmp_path, capsys, body, message):
+        preds = tmp_path / "predictions.csv"
+        make_external_csv(preds, [f"s{i}" for i in range(20)], np.array([0, 1] * 10), n_models=2)
+        criteria = tmp_path / "criteria.csv"
+        criteria.write_text(body)
+        argv = ["evaluate", str(preds), "--criteria", str(criteria), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {criteria}") and message in err
 
     def test_one_class_group_names_file_and_group(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
@@ -869,3 +912,20 @@ def test_cli_import_loads_no_scipy():
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]", statement
+
+
+def test_undefined_threshold_objective_names_file_cell_and_objective(tmp_path, capsys):
+    """With constant features every neighbour ties, k-NN takes the first
+    training rows, all negative, and scores every row 0; no cutoff of the
+    sweep then defines f1. That is an input error, not a defect."""
+    features = tmp_path / "features.csv"
+    labels = [0] * 991 + [1] * 10
+    write_features(
+        features, [(f"s{i:04d}", y, np.ones(len(FEATURE_COLUMNS))) for i, y in enumerate(labels)]
+    )
+    out = tmp_path / "out"
+    assert main(["pipeline", str(features), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {features}: model 'knn' in strategy 1: objective 'f1' undefined at every cutoff\n"
+    )
+    assert not (out / "predictions.csv").exists()

@@ -6,7 +6,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from coughrank import tables
+from coughrank import InputError, tables
 from coughrank.audio import FEATURE_COLUMNS
 from coughrank.ensemble import ClosenessTable
 from coughrank.metrics import DEFAULT_CRITERIA, PredictionSet
@@ -367,9 +367,9 @@ class TestPredictionsOracle:
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValueError) as want:
             oracle_read_predictions(path)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(InputError) as got:
             read_predictions(path)
-        assert type(got.value) is type(want.value)
+        assert type(want.value) is ValueError
         assert _location(path, got.value) == _location(path, want.value)
         if fault in ("short_row", "label", "score", "repeat"):
             assert _location(path, got.value) != ":"
