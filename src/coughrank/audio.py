@@ -103,24 +103,26 @@ def load_and_resample(path):
     Supports 8/16/24-bit integer and 32-bit float encodings, 1-2
     channels, scaled to [-1, 1] by the file's encoding. Stereo is
     averaged to mono; resampling is polyphase windowed-sinc
-    interpolation. A file that breaks these rules raises InputError.
+    interpolation; the result is clipped to [-1, 1] at every rate. A
+    file that cannot be opened raises its OSError; one that breaks these
+    rules raises InputError, whose message leaves the path to the caller.
     """
     import scipy.io.wavfile
 
     try:
         rate, data = scipy.io.wavfile.read(path)
-    except FileNotFoundError:
+    except OSError:
         raise
     except Exception as exc:
-        raise InputError(f"unreadable WAV file {path!r}: {exc}") from exc
+        raise InputError(f"unreadable WAV file: {exc}") from exc
     if data.size == 0:
-        raise InputError(f"zero-length audio in {path!r}")
+        raise InputError("zero-length audio")
     if rate <= 0:
-        raise InputError(f"{path!r}: sample rate must be positive, got {rate} Hz")
+        raise InputError(f"sample rate must be positive, got {rate} Hz")
     encoding = data.dtype
     if data.ndim == 2:
         if data.shape[1] > 2:
-            raise InputError(f"{path!r}: only mono/stereo supported")
+            raise InputError("only mono/stereo supported")
         # Mixing before scaling gives the bits of scaling first: the
         # channel sum and the offset are exact, every scale a power of two.
         data = data.astype(np.float64).mean(axis=1)
@@ -135,9 +137,9 @@ def load_and_resample(path):
     elif encoding in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise InputError(f"{path!r}: unsupported WAV encoding {encoding}")
+        raise InputError(f"unsupported WAV encoding {encoding}")
     if not np.all(np.isfinite(samples)):
-        raise InputError(f"{path!r}: samples must be finite")
+        raise InputError("samples must be finite")
 
     if rate != DEFAULT_SAMPLE_RATE:
         import scipy.signal
@@ -146,7 +148,7 @@ def load_and_resample(path):
         samples = scipy.signal.resample_poly(
             samples, ratio.numerator, ratio.denominator
         )
-        samples = np.clip(samples, -1.0, 1.0)
+    samples = np.clip(samples, -1.0, 1.0)
     return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
 
 

@@ -141,7 +141,8 @@ def cmd_extract(args):
             clip = load_and_resample(wav)
             vec = extract_features(clip).concat()
         except (InputError, OSError) as exc:
-            log.warning("skipping %s: %s", wav, exc)
+            # an OSError's full text names the file again
+            log.warning("skipping %s: %s", wav, getattr(exc, "strerror", None) or exc)
             failures += 1
             continue
         rows.append((wav.stem, labels.get(wav.stem), vec))

@@ -41,8 +41,9 @@ def entropy_weights(dm):
     Each column is min-max standardized, projected to proportions, and
     scored by normalized entropy; weights are the normalized entropy
     deficits. Constant columns carry no information and get weight 0.
+    Columns are scaled by powers of two first, so no spread overflows.
     """
-    X = dm.values
+    X = _scale_columns(dm.values)
     m = X.shape[0]
     lo = X.min(axis=0)
     spread = X.max(axis=0) - lo
@@ -61,10 +62,16 @@ def entropy_weights(dm):
     return WeightVector(weights=deficit / deficit.sum())
 
 
+def _scale_columns(values):
+    """Each column times the power of two that brings its largest |value|
+    into [0.5, 1); exact unless a value underflows."""
+    return np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1])
+
+
 def vector_normalize(values):
     """Column-wise division by the Euclidean norm; all-zero columns stay zero.
-    Each column is first scaled by a power of two (exact), so no square overflows."""
-    values = np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1])
+    Columns are scaled by powers of two first, so no square overflows."""
+    values = _scale_columns(values)
     norms = np.sqrt((values**2).sum(axis=0))
     return np.divide(values, norms, out=np.zeros_like(values), where=norms > 0)
 

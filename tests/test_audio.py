@@ -76,6 +76,17 @@ class TestLoadAndResample:
         clip = load_and_resample(path)
         np.testing.assert_allclose(clip.samples, x, atol=1e-7)
 
+    def test_loud_float_wav_at_native_rate_is_clipped(self, tmp_path):
+        t = np.arange(4000) / 22050.0
+        x = (1e38 * np.sin(2 * np.pi * 440 * t)).astype(np.float32)
+        loud = load_and_resample(self.write_wav(tmp_path / "loud.wav", 22050, x))
+        clipped = np.clip(x, -1.0, 1.0)
+        quiet = load_and_resample(self.write_wav(tmp_path / "quiet.wav", 22050, clipped))
+        np.testing.assert_array_equal(loud.samples, quiet.samples)
+        np.testing.assert_array_equal(
+            extract_features(loud).concat(), extract_features(quiet).concat()
+        )
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_and_resample(tmp_path / "nope.wav")

@@ -218,7 +218,11 @@ class TestExtract:
 
     @pytest.mark.parametrize(
         "fault, message",
-        [("zero_rate", "sample rate must be positive, got 0 Hz"), ("nan", "samples must be finite")],
+        [
+            ("zero_rate", "sample rate must be positive, got 0 Hz"),
+            ("nan", "samples must be finite"),
+            ("directory", "Is a directory"),
+        ],
     )
     def test_undecodable_wav_is_skipped(self, tmp_path, caplog, fault, message):
         wav_dir = tmp_path / "wavs"
@@ -230,13 +234,16 @@ class TestExtract:
             data = bytearray(bad.read_bytes())
             data[24:32] = bytes(8)  # the fmt chunk's sample rate and byte rate
             bad.write_bytes(bytes(data))
-        else:
+        elif fault == "nan":
             wavfile.write(bad, 8000, np.full(800, np.nan, dtype=np.float32))
+        else:
+            bad.mkdir()
         out = tmp_path / "features.csv"
         with caplog.at_level(logging.INFO, logger="coughrank"):
             assert main(["extract", str(wav_dir), "--out", str(out)]) == EXIT_OK
         assert read_features(out)[0] == ["good"]
-        assert f"skipping {bad}: " in caplog.text and message in caplog.text
+        assert f"skipping {bad}: {message}" in caplog.text
+        assert caplog.text.count(str(bad)) == 1 and "PosixPath(" not in caplog.text
         assert "wrote 1 feature rows" in caplog.text and "(1 failures)" in caplog.text
 
     def test_empty_directory_is_input_error(self, tmp_path):

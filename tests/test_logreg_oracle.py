@@ -7,6 +7,11 @@ iterations. On every set and penalty Newton's fit must converge, pass
 the stop test at its own weights, reach a penalized loss no higher than
 the oracle's, and rank held-out rows as the oracle does wherever the
 oracle converged.
+
+The warm start is held to the cold fit: started from a neighbouring
+penalty's weights, a fit must converge, pass the stop test and reach the
+cold fit's penalized loss to 1e-9 relative, and the strategy-3 grid
+search must keep its iteration saving and its choice.
 """
 
 import numpy as np
@@ -15,9 +20,11 @@ import pytest
 import coughrank.learn as learn
 from coughrank.learn import (
     LOGREG_TOL,
+    MODEL_GRIDS,
     Dataset,
     LogregModel,
     _Standardizer,
+    _grid_search,
     balance_with_smote,
     logistic_objective,
     predict_logreg,
@@ -26,6 +33,7 @@ from coughrank.learn import (
 )
 from coughrank.metrics import rank_auc
 
+from test_fold_major import grid_search_oracle
 from test_learn import cluster_dataset
 
 L2_VALUES = (0.01, 0.1, 1.0, 10.0, 1e6)
@@ -151,3 +159,72 @@ def test_non_positive_penalty_rejected(l2):
     train, _, _ = separable()
     with pytest.raises(ValueError, match="l2_strength"):
         train_logreg(train.features, train.labels, l2_strength=l2)
+
+
+def penalized_loss_and_stop(model, train, l2):
+    """The fit's penalized loss, and whether its gradient passes the stop test."""
+    X = model.scaler(train.features)
+    loss, grad = logistic_objective(model.weights, X, train.labels, l2)
+    return loss, np.linalg.norm(grad) < LOGREG_TOL * max(1.0, abs(loss))
+
+
+NEIGHBOURS = list(zip(L2_VALUES, L2_VALUES[1:])) + list(zip(L2_VALUES[1:], L2_VALUES))
+
+
+@pytest.mark.parametrize("l2, from_l2", NEIGHBOURS)
+@pytest.mark.parametrize("set_name", sorted(SETS))
+def test_warm_start_reaches_cold_fit(set_name, l2, from_l2, monkeypatch):
+    train, _, _ = SETS[set_name]()
+    init = train_logreg(train.features, train.labels, l2_strength=from_l2).weights
+    kept = init.copy()
+    cold = train_logreg(train.features, train.labels, l2_strength=l2)
+    starts = []
+    objective = learn.logistic_objective
+
+    def spy(w, *args):
+        starts.append(w.copy())
+        return objective(w, *args)
+
+    monkeypatch.setattr(learn, "logistic_objective", spy)
+    warm = train_logreg(train.features, train.labels, l2_strength=l2, init=init)
+    monkeypatch.undo()
+    assert np.array_equal(starts[0], kept)
+    assert np.array_equal(init, kept)
+    assert warm.converged and 1 <= warm.n_iter <= learn.LOGREG_MAX_ITER
+    warm_loss, stops = penalized_loss_and_stop(warm, train, l2)
+    cold_loss, _ = penalized_loss_and_stop(cold, train, l2)
+    assert stops
+    assert abs(warm_loss - cold_loss) <= 1e-9 * max(1.0, abs(cold_loss))
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["none", "zeros"])
+def test_zero_start_is_the_cold_fit(zeros):
+    train, _, _ = overlapping()
+    d = train.features.shape[1]
+    init = np.zeros(d + 1) if zeros else None
+    cold = train_logreg(train.features, train.labels, l2_strength=0.1)
+    got = train_logreg(train.features, train.labels, l2_strength=0.1, init=init)
+    assert np.array_equal(got.weights, cold.weights)
+    assert (got.converged, got.n_iter) == (cold.converged, cold.n_iter)
+    if zeros:
+        assert np.array_equal(init, np.zeros(d + 1))
+
+
+def test_warm_grid_search_iterations(monkeypatch):
+    # The same inner folds fitted cold take 160 Newton iterations.
+    train, _, _ = smote_fold(3)
+    assert train.features.shape == (360, 193)
+    fits = []
+    fit = learn.train_logreg
+
+    def counting(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(learn, "train_logreg", counting)
+    grid = MODEL_GRIDS["logreg"]
+    params = _grid_search("logreg", grid, train.features, train.labels, 7)
+    monkeypatch.undo()
+    assert len(fits) == 20 and all(model.converged for model in fits)
+    assert sum(model.n_iter for model in fits) <= 110
+    assert params == grid_search_oracle("logreg", grid, train, 7)

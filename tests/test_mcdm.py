@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestEntropyWeights:
         np.testing.assert_allclose(
             entropy_weights(dm).weights, entropy_weights(scaled).weights, atol=1e-12
         )
+
+    def test_column_spanning_beyond_float_range(self):
+        # max - min of the first column is 2e308, past the largest float;
+        # every column has the same min-max shape, so all weights are 1/8
+        values = np.column_stack([[1e308, -1e308, 0.0]] + [[0.5, 0.4, 0.3]] * 7)
+        criteria = [CriterionSpec(f"c{j}", "benefit") for j in range(8)]
+        names = ["a", "b", "c"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = entropy_weights(DecisionMatrix(names, criteria, values)).weights
+        rescaled = values / np.array([1e300] + [1.0] * 7)
+        want = entropy_weights(DecisionMatrix(names, criteria, rescaled)).weights
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, 0.125, rtol=1e-12)
 
 
 class TestIdealSolutions:
