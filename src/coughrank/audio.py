@@ -125,7 +125,10 @@ def load_and_resample(path):
             raise InputError("only mono/stereo supported")
         # Mixing before scaling gives the bits of scaling first: the
         # channel sum and the offset are exact, every scale a power of two.
-        data = data.astype(np.float64).mean(axis=1)
+        # (+0.0 + l) + r, halved in place: a mean's bits, signed zeros too, and no float stereo copy
+        mono = np.add(data[:, 0], 0.0, dtype=np.float64)
+        mono += data[:, 1]
+        data = np.divide(mono, 2, out=mono)
 
     if encoding == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0

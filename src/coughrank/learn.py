@@ -176,6 +176,16 @@ class _Standardizer:
         return (X - self.mean) / self.std
 
 
+class _Design:
+    """A scaler fitted to training rows and those rows scaled, alone and
+    with a ones column for the intercept: what logistic fits on them share."""
+
+    def __init__(self, X):
+        self.scaler = _Standardizer(X)
+        self.X = self.scaler(X)
+        self.Xa = np.hstack([self.X, np.ones((X.shape[0], 1))])
+
+
 @dataclass
 class KnnModel:
     train_features: np.ndarray
@@ -291,6 +301,7 @@ class LogregModel:
 def train_logreg(X, y, l2_strength=1.0, init=None):
     """Fit L2-penalized logistic regression by Newton's method.
 
+    `X` is the raw rows or, for fits that share them, their `_Design`.
     The fit starts from `init`, d + 1 weights on the standardized
     features with the intercept last (copied, never changed; None starts
     from zero), so it can resume from the solution of a nearby penalty.
@@ -306,10 +317,8 @@ def train_logreg(X, y, l2_strength=1.0, init=None):
         raise ValueError("l2_strength must be positive")
     if len(np.unique(y)) < 2:
         raise ValueError("both classes required to fit logistic regression")
-    scaler = _Standardizer(X)
-    X = scaler(X)
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    penalized = np.arange(X.shape[1])
+    design = X if isinstance(X, _Design) else _Design(X)
+    X, Xa = design.X, design.Xa
     w = np.zeros(Xa.shape[1]) if init is None else np.array(init, dtype=np.float64)
     loss, grad = logistic_objective(w, X, y, l2_strength)
     converged = False
@@ -319,7 +328,7 @@ def train_logreg(X, y, l2_strength=1.0, init=None):
         r = np.exp(-0.5 * np.abs(Xa @ w))
         B = Xa * (r / (1.0 + r * r))[:, None]
         hessian = B.T @ B
-        hessian[penalized, penalized] += l2_strength
+        hessian.reshape(-1)[: -1 : Xa.shape[1] + 1] += l2_strength  # weights' diagonal
         step = np.linalg.solve(hessian, grad)
         slope = grad @ step
         for halvings in range(_MAX_HALVINGS):
@@ -334,7 +343,7 @@ def train_logreg(X, y, l2_strength=1.0, init=None):
         if np.linalg.norm(grad) < LOGREG_TOL * max(1.0, abs(loss)):
             converged = True
             break
-    return LogregModel(weights=w, scaler=scaler, converged=converged, n_iter=it)
+    return LogregModel(weights=w, scaler=design.scaler, converged=converged, n_iter=it)
 
 
 def predict_logreg(model, features):
@@ -357,8 +366,9 @@ def _grid_search(model_name, grid, X, y, seed):
     For k-NN one neighbour search per inner fold, at the largest k of
     the grid, scores every k. For logistic regression each inner fold
     fits the grid from the strongest penalty to the weakest, each fit
-    starting from the weights of the one before (the pathwise warm start
-    of glmnet: Friedman, Hastie & Tibshirani, J. Stat. Softw. 33 (2010)).
+    starting from the weights of the one before, on one `_Design` of its
+    rows (the pathwise warm start of glmnet: Friedman, Hastie & Tibshirani,
+    J. Stat. Softw. 33 (2010)).
     """
     aucs = [[] for _ in grid]
     for tr, te in stratified_splits(y, INNER_FOLDS, seed):
@@ -371,10 +381,10 @@ def _grid_search(model_name, grid, X, y, seed):
                 scores = neighbor_labels[:, : params["n_neighbors"]].mean(axis=1)
                 fold_aucs.append(rank_auc(y_te, scores))
         else:
-            w = None
+            design, w = _Design(X_tr), None
             path = sorted(range(len(grid)), key=lambda i: grid[i]["l2_strength"], reverse=True)
             for i in path:
-                model = train_logreg(X_tr, y_tr, init=w, **grid[i])
+                model = train_logreg(design, y_tr, init=w, **grid[i])
                 w = model.weights
                 aucs[i].append(rank_auc(y_te, predict_logreg(model, X_te)))
     mean_aucs = [float(np.mean(fold_aucs)) for fold_aucs in aucs]

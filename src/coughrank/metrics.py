@@ -148,38 +148,33 @@ def rank_auc(true_labels, scores):
     return twice_u / (2 * n_pos * n_neg)
 
 
-def _safe_ratio(num, den, name, degenerate):
-    if den == 0:
-        degenerate.append(name)
-        return 0.0
-    return num / den
+def _criteria(tp, fp, tn, fn, auc):
+    """The eight criteria of TP, FP, TN, FN and AUC, given as numbers or as
+    arrays (one value per cutoff), by the same operations on exact counts;
+    and per ratio the mask of its 0/0 cells, which divide 0 by 1 and read 0."""
+    degenerate = {}
 
+    def ratio(name, num, den):
+        degenerate[name] = den == 0
+        return num / (den + degenerate[name])
 
-def _report(counts, auc):
-    """The eight-criterion EvaluationReport of (TP, FP, TN, FN) and an AUC."""
-    tp, fp, tn, fn = counts
-    degenerate = []
-    precision = _safe_ratio(tp, tp + fp, "precision", degenerate)
-    recall = _safe_ratio(tp, tp + fn, "recall", degenerate)
-    specificity = _safe_ratio(tn, tn + fp, "specificity", degenerate)
-    f1 = _safe_ratio(2 * precision * recall, precision + recall, "f1", degenerate)
-    return EvaluationReport(
-        acc=(tp + tn) / (tp + fp + tn + fn),
-        auc=auc,
-        precision=precision,
-        recall=recall,
-        specificity=specificity,
-        f1=f1,
-        fpr=1.0 - specificity,
-        fnr=1.0 - recall,
-        degenerate=degenerate,
-    )
+    precision = ratio("precision", tp, tp + fp)
+    recall = ratio("recall", tp, tp + fn)
+    specificity = ratio("specificity", tn, tn + fp)
+    f1 = ratio("f1", 2 * precision * recall, precision + recall)
+    acc = np.divide(tp + tn, tp + fp + tn + fn)
+    values = (acc, auc, precision, recall, specificity, f1, 1.0 - specificity, 1.0 - recall)
+    return dict(zip(METRIC_NAMES, values)), degenerate
 
 
 def evaluate(preds):
     """Compute the eight-criterion EvaluationReport for one PredictionSet."""
     counts = confusion_counts(preds.true_labels, preds.scores, preds.threshold)
-    return _report(counts, rank_auc(preds.true_labels, preds.scores))
+    values, degenerate = _criteria(*counts, rank_auc(preds.true_labels, preds.scores))
+    return EvaluationReport(
+        **{name: float(value) for name, value in values.items()},
+        degenerate=[name for name, mask in degenerate.items() if mask],
+    )
 
 
 DEFAULT_THRESHOLD_GRID = tuple(np.round(np.arange(0.01, 1.0, 0.01), 2))
@@ -193,21 +188,23 @@ def threshold_sweep(true_labels, scores, objective="f1"):
     SWEEP_OBJECTIVES.
 
     Ties break toward the cutoff nearest 0.5, then the smaller cutoff.
+    Each class's scores are sorted once, every cutoff's counts come from
+    one searchsorted, and one lexsort over the criteria picks the cutoff.
     """
     if objective not in SWEEP_OBJECTIVES:
         raise ValueError(f"objective must be one of {SWEEP_OBJECTIVES}, got {objective!r}")
-    auc = rank_auc(true_labels, scores)
-    best = None
-    for cutoff in DEFAULT_THRESHOLD_GRID:
-        report = _report(confusion_counts(true_labels, scores, cutoff), auc)
-        if objective in report.degenerate:
-            continue
-        key = (-getattr(report, objective), abs(cutoff - 0.5), cutoff)
-        if best is None or key < best[0]:
-            best = (key, float(cutoff))
-    if best is None:
+    cutoffs = np.array(DEFAULT_THRESHOLD_GRID)
+    auc = np.full(cutoffs.shape, rank_auc(true_labels, scores))
+    pos = true_labels == 1
+    # score >= cutoff iff -score <= -cutoff; a NaN sorts last: never positive
+    tp, fp = (np.searchsorted(np.sort(-scores[m]), -cutoffs, side="right") for m in (pos, ~pos))
+    n_pos = int(np.sum(pos))
+    values, degenerate = _criteria(tp, fp, scores.size - n_pos - fp, n_pos - tp, auc)
+    undefined = degenerate.get(objective, np.zeros(cutoffs.size, dtype=bool))
+    best = np.lexsort((cutoffs, np.abs(cutoffs - 0.5), -values[objective], undefined))[0]
+    if undefined[best]:
         raise ValueError(f"objective {objective!r} undefined at every cutoff")
-    return best[1]
+    return float(cutoffs[best])
 
 
 def build_decision_matrix(reports, criteria=DEFAULT_CRITERIA):

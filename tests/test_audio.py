@@ -141,6 +141,24 @@ class TestStereoDecoding:
         if rate == 22050:
             np.testing.assert_allclose(got.samples, x, atol=2e-2)
 
+    @pytest.mark.parametrize("encoding", ["uint8", "int16", "int24", "float32"])
+    def test_mix_has_the_bits_of_the_channel_mean(self, tmp_path, encoding):
+        """The mix, l + r halved in place, equals the mean over the channel
+        axis bit for bit, signed zeros and float32 sums that round included."""
+        rng = np.random.default_rng(21)
+        stereo = np.stack([_encoded(encoding, rng.uniform(-1, 1, 3000)) for _ in range(2)], axis=1)
+        if encoding == "float32":
+            stereo[:4] = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.75, 3e-12]]
+        write = write_pcm24 if encoding == "int24" else scipy.io.wavfile.write
+        write(tmp_path / "stereo.wav", DEFAULT_SAMPLE_RATE, stereo)
+        _, data = scipy.io.wavfile.read(tmp_path / "stereo.wav")
+        offset, scale = {"uint8": (128, 128), "int16": (0, 2**15), "int32": (0, 2**31)}.get(
+            data.dtype.name, (0, 1)
+        )
+        want = np.clip((data.astype(np.float64).mean(axis=1) - offset) / scale, -1.0, 1.0)
+        got = load_and_resample(tmp_path / "stereo.wav").samples
+        assert got.tobytes() == want.tobytes()
+
 
 class TestStftPower:
     def test_zero_clip_zero_spectrogram(self):

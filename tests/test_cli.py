@@ -921,6 +921,36 @@ def test_cli_import_loads_no_scipy():
         assert result.stdout.strip() == "[]", statement
 
 
+@pytest.mark.parametrize("command", ["evaluate", "rank", "pipeline", "rfecv"])
+def test_numpy_only_command_loads_no_scipy(tmp_path, command):
+    """README says these four run on numpy alone: in a fresh interpreter
+    a whole run loads no scipy module (the bare import is the test above)."""
+    features, preds = tmp_path / "features.csv", tmp_path / "predictions.csv"
+    ids, labels = make_features_csv(features, seed=3)
+    make_external_csv(preds, ids, labels)
+    args = {
+        "evaluate": [preds, "--out", tmp_path / "out"],
+        "rank": [DATA_DIR / f"decision_matrix_symptomatic_strategy{s}.csv" for s in (1, 2, 3)]
+        + ["--out", tmp_path / "out"],
+        "pipeline": [features, "--external", preds, "--out", tmp_path / "out"],
+        "rfecv": [features, "--step", "64", "--out", tmp_path / "curve.csv"],
+    }[command]
+    argv = [command] + [str(a) for a in args]
+    probe = (
+        f"import sys; from coughrank.cli import main; code = main({argv!r}); "
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
 def test_undefined_threshold_objective_names_file_cell_and_objective(tmp_path, capsys):
     """With constant features every neighbour ties, k-NN takes the first
     training rows, all negative, and scores every row 0; no cutoff of the

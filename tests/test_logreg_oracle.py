@@ -8,6 +8,10 @@ the stop test at its own weights, reach a penalized loss no higher than
 the oracle's, and rank held-out rows as the oracle does wherever the
 oracle converged.
 
+A fit on a prebuilt `_Design`, as the grid search shares one per inner
+fold, is the fit on the raw rows bit for bit, and leaves the design as
+it was.
+
 The warm start is held to the cold fit: started from a neighbouring
 penalty's weights, a fit must converge, pass the stop test and reach the
 cold fit's penalized loss to 1e-9 relative, and the strategy-3 grid
@@ -23,6 +27,7 @@ from coughrank.learn import (
     MODEL_GRIDS,
     Dataset,
     LogregModel,
+    _Design,
     _Standardizer,
     _grid_search,
     balance_with_smote,
@@ -145,6 +150,21 @@ def test_newton_against_gradient_descent(set_name, l2):
         newton_auc = rank_auc(y_te, predict_logreg(newton, X_te))
         oracle_auc = rank_auc(y_te, predict_logreg(oracle, X_te))
         assert abs(newton_auc - oracle_auc) <= 1e-6
+
+
+@pytest.mark.parametrize("l2", L2_VALUES)
+@pytest.mark.parametrize("set_name", sorted(SETS))
+def test_design_fit_is_the_raw_fit(set_name, l2):
+    train, _, _ = SETS[set_name]()
+    design = _Design(train.features)
+    kept = design.X.copy(), design.Xa.copy()
+    warm = train_logreg(train.features, train.labels, l2_strength=10 * l2).weights
+    for init in (None, warm):
+        raw = train_logreg(train.features, train.labels, l2_strength=l2, init=init)
+        shared = train_logreg(design, train.labels, l2_strength=l2, init=init)
+        assert shared.weights.tobytes() == raw.weights.tobytes()
+        assert (shared.n_iter, shared.converged) == (raw.n_iter, raw.converged)
+    assert design.X.tobytes() == kept[0].tobytes() and design.Xa.tobytes() == kept[1].tobytes()
 
 
 def test_iteration_cap_reported_not_raised(monkeypatch):

@@ -3,14 +3,18 @@
 `rankdata_auc` is the former `rank_auc` (average ranks from
 `scipy.stats.rankdata`), `mask_counts` the former `confusion_counts`
 (four mask sums over a PredictionSet), `rebuilt_evaluate` the former
-`evaluate`, and `rebuilt_sweep` the former `threshold_sweep`, which
-built and scored a new PredictionSet at every cutoff. The new path must
-give the same AUC, reports and cutoffs, bit for bit.
+`evaluate`, `rebuilt_sweep` the first `threshold_sweep`, which built
+and scored a new PredictionSet at every cutoff, and `loop_sweep` the
+second, which counted and scored each cutoff in a Python loop. The new
+path, one sort per class and one lexsort, must give the same AUC,
+reports and cutoffs, bit for bit, and raise where they raise.
 """
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coughrank.metrics import (
     DEFAULT_THRESHOLD_GRID,
@@ -18,6 +22,7 @@ from coughrank.metrics import (
     EvaluationReport,
     PredictionSet,
     SWEEP_OBJECTIVES,
+    confusion_counts,
     evaluate,
     rank_auc,
     threshold_sweep,
@@ -55,8 +60,8 @@ def _safe_ratio(num, den, name, degenerate):
     return num / den
 
 
-def rebuilt_evaluate(preds):
-    tp, fp, tn, fn = mask_counts(preds)
+def scalar_report(counts, auc):
+    tp, fp, tn, fn = counts
     n = tp + fp + tn + fn
     degenerate = []
     precision = _safe_ratio(tp, tp + fp, "precision", degenerate)
@@ -65,7 +70,7 @@ def rebuilt_evaluate(preds):
     f1 = _safe_ratio(2 * precision * recall, precision + recall, "f1", degenerate)
     return EvaluationReport(
         acc=(tp + tn) / n,
-        auc=rankdata_auc(preds.true_labels, preds.scores),
+        auc=auc,
         precision=precision,
         recall=recall,
         specificity=specificity,
@@ -74,6 +79,10 @@ def rebuilt_evaluate(preds):
         fnr=1.0 - recall,
         degenerate=degenerate,
     )
+
+
+def rebuilt_evaluate(preds):
+    return scalar_report(mask_counts(preds), rankdata_auc(preds.true_labels, preds.scores))
 
 
 def rebuilt_sweep(preds, objective):
@@ -88,6 +97,21 @@ def rebuilt_sweep(preds, objective):
             threshold=float(cutoff),
         )
         report = rebuilt_evaluate(trial)
+        if objective in report.degenerate:
+            continue
+        key = (-getattr(report, objective), abs(cutoff - 0.5), cutoff)
+        if best is None or key < best[0]:
+            best = (key, float(cutoff))
+    if best is None:
+        raise ValueError(f"objective {objective!r} undefined at every cutoff")
+    return best[1]
+
+
+def loop_sweep(true_labels, scores, objective):
+    auc = rank_auc(true_labels, scores)
+    best = None
+    for cutoff in DEFAULT_THRESHOLD_GRID:
+        report = scalar_report(confusion_counts(true_labels, scores, cutoff), auc)
         if objective in report.degenerate:
             continue
         key = (-getattr(report, objective), abs(cutoff - 0.5), cutoff)
@@ -192,3 +216,65 @@ def test_seeded_random_sets_match():
         if trial % 10 == 0:
             assert threshold_sweep(preds.true_labels, preds.scores) == rebuilt_sweep(preds, "f1")
 
+
+
+# Scores around the cutoffs nearest 0.5, both zeros, and the ends of [0, 1].
+POOL = [0.0, -0.0, 0.005, 0.01, 0.3, 0.49, 0.495, 0.5, 0.505, 0.51, 0.7, 0.99, 1.0]
+
+
+@st.composite
+def sweep_cases(draw):
+    """Labels (one class allowed), scores continuous, rounded to 1-3
+    decimals or tied from POOL, and a sweep objective."""
+    n = draw(st.integers(1, 60))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["continuous", "rounded", "pool"]))
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    scores = draw(st.lists(st.sampled_from(POOL) if kind == "pool" else unit, min_size=n, max_size=n))
+    if kind == "rounded":
+        scores = np.round(scores, draw(st.integers(1, 3)))
+    objective = draw(st.sampled_from(SWEEP_OBJECTIVES))
+    return np.array(labels), np.array(scores, dtype=np.float64), objective
+
+
+def sweep_outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Best acc at 0.49 and 0.51 alone among the cutoffs nearest 0.5 (see the
+# test below); precision 0 up to 0.3 and undefined from 0.31, nearer 0.5;
+# and no cutoff with a predicted positive, so precision and f1 are
+# undefined everywhere.
+@example(case=(np.array([1, 0, 1, 0]), np.array([0.495, 0.505, 0.9, 0.1]), "acc"))
+@example(case=(np.array([1, 0]), np.array([0.0, 0.3]), "precision"))
+@example(case=(np.array([1, 0, 0]), np.array([0.0, 0.005, -0.0]), "precision"))
+@example(case=(np.array([1, 0, 0]), np.array([0.0, 0.005, -0.0]), "f1"))
+@given(case=sweep_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sweep_matches_loop_and_rebuilt(case):
+    labels, scores, objective = case
+    got = sweep_outcome(threshold_sweep, labels, scores, objective)
+    assert got == sweep_outcome(loop_sweep, labels, scores, objective)
+    assert got == sweep_outcome(rebuilt_sweep, make_preds(labels, scores), objective)
+
+
+def test_sweep_tie_at_equal_distance_from_half_takes_the_smaller_cutoff():
+    labels, scores = np.array([1, 0, 1, 0]), np.array([0.495, 0.505, 0.9, 0.1])
+    grid = np.array(DEFAULT_THRESHOLD_GRID)
+    low, half, high = grid[48:51]
+    assert (low, half, high) == (0.49, 0.5, 0.51) and abs(low - 0.5) == abs(high - 0.5)
+    acc = [evaluate(make_preds(labels, scores, c)).acc for c in grid]
+    assert acc[48] == acc[50] == max(acc) > acc[49]
+    assert threshold_sweep(labels, scores, "acc") == loop_sweep(labels, scores, "acc") == 0.49
+
+
+@pytest.mark.parametrize("objective", ["precision", "f1"])
+def test_sweep_undefined_everywhere_raises_the_loops_message(objective):
+    labels, scores = np.array([1, 0, 0]), np.array([0.0, 0.005, -0.0])
+    with pytest.raises(ValueError) as loop:
+        loop_sweep(labels, scores, objective)
+    with pytest.raises(ValueError, match=f"^{loop.value}$"):
+        threshold_sweep(labels, scores, objective)
