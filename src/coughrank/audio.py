@@ -28,6 +28,7 @@ N_FEATURES = N_MFCC + N_MELS + N_CHROMA + (N_CONTRAST_BANDS + 1) + N_TONNETZ
 
 LOG_FLOOR = 1e-10
 CONTRAST_ALPHA = 0.02  # share of a band's bins in its peak and in its valley
+_STFT_BLOCK_FRAMES = 16  # frames per STFT block: 256 KiB windowed at n_fft 2048
 
 FEATURE_COLUMNS = (
     [f"mfcc_{i:02d}" for i in range(N_MFCC)]
@@ -174,11 +175,15 @@ def _frame_signal(clip, cfg):
 
 
 def stft_power(clip, cfg=None):
-    """Power spectrogram, shape (frames, n_fft//2 + 1)."""
+    """Power spectrogram, shape (frames, n_fft//2 + 1), filled _STFT_BLOCK_FRAMES
+    rows at a time: no whole-clip windowed or complex copy is ever held."""
     cfg = cfg or StftConfig()
-    frames = _frame_signal(clip, cfg) * cfg.window
-    spec = np.fft.rfft(frames, axis=1)
-    return np.abs(spec) ** 2
+    frames = _frame_signal(clip, cfg)
+    power = np.empty((frames.shape[0], cfg.n_fft // 2 + 1))
+    for i in range(0, frames.shape[0], _STFT_BLOCK_FRAMES):
+        spec = np.fft.rfft(frames[i : i + _STFT_BLOCK_FRAMES] * cfg.window, axis=1)
+        power[i : i + _STFT_BLOCK_FRAMES] = np.abs(spec) ** 2
+    return power
 
 
 def mel_scale(f):
@@ -289,10 +294,9 @@ def band_contrast(band_magnitudes, alpha):
 def _spectral_contrast(power, n_fft, sample_rate):
     """Frame-mean peak-valley log contrast of a power spectrogram in
     N_CONTRAST_BANDS + 1 bands: below 200 Hz, then octaves up to Nyquist."""
-    mag = np.sqrt(power)
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     edges = _contrast_band_edges(sample_rate, N_CONTRAST_BANDS)
-    out = np.zeros((mag.shape[0], N_CONTRAST_BANDS + 1))
+    out = np.zeros((power.shape[0], N_CONTRAST_BANDS + 1))
     for k in range(N_CONTRAST_BANDS + 1):
         if k < N_CONTRAST_BANDS:
             sel = (bin_freqs >= edges[k]) & (bin_freqs < edges[k + 1])
@@ -300,7 +304,8 @@ def _spectral_contrast(power, n_fft, sample_rate):
             sel = bin_freqs >= edges[k]
         if not np.any(sel):
             raise ValueError(f"contrast band {k} contains no FFT bins")
-        out[:, k] = band_contrast(mag[:, sel], CONTRAST_ALPHA)
+        band = power[:, sel]  # a copy, made magnitude in place
+        out[:, k] = band_contrast(np.sqrt(band, out=band), CONTRAST_ALPHA)
     return out.mean(axis=0)
 
 

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -122,6 +123,7 @@ def write_manifest(out_dir, config, inputs, seed):
 
 
 def cmd_extract(args):
+    """One thread per usable CPU featurizes clips; rows and logs follow sorted file order."""
     input_dir = Path(args.input_dir)
     wavs = sorted(p for p in input_dir.glob("*") if p.suffix.lower() == ".wav")
     if not wavs:
@@ -134,18 +136,26 @@ def cmd_extract(args):
             )
         by_stem[wav.stem] = wav
     labels = tables.read_labels(args.labels, by_stem) if args.labels else {}
-    rows = []
-    failures = 0
-    for wav in wavs:
+    from concurrent.futures import ThreadPoolExecutor
+
+    def featurize(wav):  # the vector, or the message of the error that skips the file
         try:
-            clip = load_and_resample(wav)
-            vec = extract_features(clip).concat()
+            return extract_features(load_and_resample(wav)).concat()
         except (InputError, OSError) as exc:
             # an OSError's full text names the file again
-            log.warning("skipping %s: %s", wav, getattr(exc, "strerror", None) or exc)
-            failures += 1
-            continue
-        rows.append((wav.stem, labels.get(wav.stem), vec))
+            return str(getattr(exc, "strerror", None) or exc)
+    affinity = getattr(os, "sched_getaffinity", None)
+    pool = ThreadPoolExecutor(len(affinity(0)) if affinity else os.cpu_count())
+    rows, failures = [], 0
+    try:
+        for wav, result in zip(wavs, pool.map(featurize, wavs)):
+            if isinstance(result, str):
+                log.warning("skipping %s: %s", wav, result)
+                failures += 1
+            else:
+                rows.append((wav.stem, labels.get(wav.stem), result))
+    finally:
+        pool.shutdown(cancel_futures=True)
     if not rows:
         raise InputError("all input files failed to decode")
     tables.write_features(args.out, rows)

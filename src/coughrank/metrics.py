@@ -178,8 +178,8 @@ def evaluate(preds):
 
 
 DEFAULT_THRESHOLD_GRID = tuple(np.round(np.arange(0.01, 1.0, 0.01), 2))
-# the benefit criteria, which threshold_sweep can maximise
-SWEEP_OBJECTIVES = tuple(c.name for c in DEFAULT_CRITERIA if c.direction == BENEFIT)
+# the benefit criteria a cutoff moves (not auc), which threshold_sweep can maximise
+SWEEP_OBJECTIVES = tuple(n for n in METRIC_NAMES if n not in ("auc", "fpr", "fnr"))
 
 
 def threshold_sweep(true_labels, scores, objective="f1"):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from coughrank.audio import FEATURE_COLUMNS
+from coughrank.audio import FEATURE_COLUMNS, extract_features, load_and_resample
 from coughrank import cli
-from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main, read_config
+from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main, read_config
 from coughrank.metrics import METRIC_NAMES, PredictionSet
 from coughrank.tables import read_features, write_features, write_predictions
 
@@ -64,8 +64,8 @@ def make_external_csv(path, sample_ids, labels, n_models=8, seed=1):
 class TestReadConfig:
     def test_parses_values_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nthreshold_objective = auc\nsmote_k = 3\n")
-        assert read_config(path) == {"threshold_objective": "auc", "smote_k": 3}
+        path.write_text("# comment\nthreshold_objective = recall\nsmote_k = 3\n")
+        assert read_config(path) == {"threshold_objective": "recall", "smote_k": 3}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -245,6 +245,58 @@ class TestExtract:
         assert f"skipping {bad}: {message}" in caplog.text
         assert caplog.text.count(str(bad)) == 1 and "PosixPath(" not in caplog.text
         assert "wrote 1 feature rows" in caplog.text and "(1 failures)" in caplog.text
+
+    @pytest.fixture
+    def mixed_dir(self, tmp_path, monkeypatch):
+        """8 WAVs, 3 of them undecodable, featurized by four workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        for i in range(8):
+            path = wav_dir / f"c{i}.wav"
+            if i in (1, 4, 6):
+                path.write_bytes(b"RIFF not a wave")
+            else:
+                write_wav(path, 200 + 90 * i, duration=0.2 + 0.1 * i, seed=i)
+        return wav_dir
+
+    def test_pool_keeps_file_order(self, tmp_path, caplog, monkeypatch, mixed_dir):
+        written = []
+
+        def capture(path, rows):
+            written.extend(rows)
+            return write_features(path, rows)
+
+        monkeypatch.setattr(cli.tables, "write_features", capture)
+        out = tmp_path / "features.csv"
+        with caplog.at_level(logging.INFO, logger="coughrank"):
+            assert main(["extract", str(mixed_dir), "--out", str(out)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        skipped = [m.split(":")[0] for m in messages if m.startswith("skipping ")]
+        assert skipped == [f"skipping {mixed_dir / f'c{i}.wav'}" for i in (1, 4, 6)]
+        assert messages[-1].endswith("(3 failures)")
+        good = ["c0", "c2", "c3", "c5", "c7"]
+        assert [row[0] for row in written] == good == read_features(out)[0]
+        for sample_id, _, vec in written:
+            clip = load_and_resample(mixed_dir / f"{sample_id}.wav")
+            assert vec.tobytes() == extract_features(clip).concat().tobytes()
+
+    def test_defect_in_a_worker_exits_1(self, tmp_path, caplog, monkeypatch, mixed_dir):
+        """A defect on c3 is not an input error: no skip, no output."""
+        doomed = load_and_resample(mixed_dir / "c3.wav").samples.size
+
+        def faulty(clip):
+            if clip.samples.size == doomed:
+                raise RuntimeError("defect")
+            return extract_features(clip)
+
+        monkeypatch.setattr(cli, "extract_features", faulty)
+        out = tmp_path / "features.csv"
+        with caplog.at_level(logging.INFO, logger="coughrank"):
+            assert main(["extract", str(mixed_dir), "--out", str(out)]) == EXIT_INTERNAL
+        assert "internal error: defect" in caplog.text
+        assert "c3.wav" not in caplog.text and "wrote" not in caplog.text
+        assert not out.exists()
 
     def test_empty_directory_is_input_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -598,6 +650,7 @@ class TestPipeline:
             ("smote_k = 2.5\n", 1),
             ("smote_k = 3\nthreshold_objective = fpr\n", 2),
             ("threshold_objective = fnr\n", 1),
+            ("threshold_objective = auc\n", 1),
         ],
         ids=[
             "unknown_key",
@@ -609,6 +662,7 @@ class TestPipeline:
             "smote_k_float",
             "cost_objective_fpr",
             "cost_objective_fnr",
+            "cutoff_free_objective_auc",
         ],
     )
     def test_bad_config_rejected_before_training(
@@ -905,10 +959,15 @@ def test_smote_k_checked_against_training_folds(
 
 
 def test_cli_import_loads_no_scipy():
-    """Only `extract` needs scipy; importing the CLI must not load it, and
-    importing the package alone loads none of its modules."""
+    """Only `extract` needs scipy and its thread pool; importing the CLI
+    must load neither, and importing the package alone loads none of its
+    modules."""
     src = Path(__file__).resolve().parent.parent / "src"
-    for statement, prefix in [("import coughrank.cli", "scipy"), ("import coughrank", "coughrank.")]:
+    for statement, prefix in [
+        ("import coughrank.cli", "scipy"),
+        ("import coughrank.cli", "concurrent.futures"),
+        ("import coughrank", "coughrank."),
+    ]:
         probe = f"import sys; {statement}; print([m for m in sys.modules if m.startswith({prefix!r})])"
         result = subprocess.run(
             [sys.executable, "-c", probe],
