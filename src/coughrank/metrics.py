@@ -40,7 +40,7 @@ class PredictionSet:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.true_labels.shape != self.scores.shape:
             raise ValueError("labels and scores must align")
-        if not set(np.unique(self.true_labels)) <= {0, 1}:
+        if not np.all((self.true_labels == 0) | (self.true_labels == 1)):
             raise ValueError("labels must be binary 0/1")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")

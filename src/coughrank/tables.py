@@ -7,6 +7,7 @@ digits so values round-trip through parse -> serialize unchanged.
 
 import csv
 import math
+from contextlib import contextmanager
 from itertools import islice
 
 import numpy as np
@@ -41,13 +42,10 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _rows(path, header):
-    """Yield (line number, row) for each row of a CSV file.
-
-    The first row must equal `header` and every later row must have
-    len(header) columns; otherwise InputError names the file and line, as
-    it does for text that is not CSV (the line) or not UTF-8 (the file).
-    """
+@contextmanager
+def _reader(path, header):
+    """A csv.reader past the header row; a wrong header, or text in the file that is
+    not CSV (naming the line) or not UTF-8, raises InputError naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -56,15 +54,21 @@ def _rows(path, header):
                 raise InputError(
                     f"{path}: expected the {len(header)}-column header {','.join(shown)}"
                 )
-            width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    raise InputError(f"{path}:{reader.line_num}: expected {width} columns")
-                yield reader.line_num, row
+            yield reader
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _rows(path, header):
+    """Yield (line number, row) for each row, one held at a time; a row
+    without len(header) columns raises InputError naming its file and line."""
+    with _reader(path, header) as reader:
+        for row in reader:
+            if len(row) != len(header):
+                raise InputError(f"{path}:{reader.line_num}: expected {len(header)} columns")
+            yield reader.line_num, row
 
 
 def _unique_rows(path, header, key):
@@ -126,18 +130,20 @@ def write_features(path, rows):
 def read_features(path):
     """Parse features.csv into (sample_ids, labels or None, matrix).
 
-    Each sample_id may appear once, each label is empty, 0 or 1, and each
-    feature is finite; the first row that breaks a rule names its file and line.
+    Each sample_id may appear once, the labels are all 0 or 1 or all empty, and
+    each feature is finite; the first row that breaks a rule names its file and line.
     """
     ids, labels, values = [], [], []
     for lineno, row in _unique_rows(path, FEATURES_HEADER, "sample_id"):
         ids.append(row[0])
         if row[1] not in ("", "0", "1"):
             raise InputError(f"{path}:{lineno}: label must be 0 or 1, got {row[1]!r}")
+        if labels and (labels[0] is None) != (row[1] == ""):
+            wanted = "empty" if labels[0] is None else "0 or 1"
+            raise InputError(f"{path}:{lineno}: label must be {wanted}, as in the first row")
         labels.append(None if row[1] == "" else int(row[1]))
         values.append(_finite_floats(path, lineno, row[2:], "features"))
-    has_labels = all(l is not None for l in labels)
-    return ids, (labels if has_labels else None), np.asarray(values)
+    return ids, (None if labels and labels[0] is None else labels), np.asarray(values)
 
 
 def write_predictions(path, prediction_sets):
@@ -160,12 +166,14 @@ def _group_line(path, model, strategy, index):
 
 
 def _convert(path, pending):
-    """Append each pending group's raw labels and scores to its runs as one
-    pair of arrays; a bad value raises the message of its first row in the file."""
+    """Append each pending group's block of label and score strings to its runs
+    as one pair of arrays; a bad value raises the message of its first row in the file."""
     faults = []
     for (model, strategy), (ids, runs, labels, scores) in pending.items():
+        binary = set(labels) <= {"0", "1"}  # then read as bytes, with no int() per label
         try:
-            runs.append((np.array(labels, dtype=int), np.array(scores, dtype=float)))
+            as_int = np.frombuffer("".join(labels).encode("ascii"), np.uint8) - 48 if binary else labels
+            runs.append((np.array(as_int, dtype=int), np.array(scores, dtype=float)))
         except (ValueError, OverflowError):
             for i, (label, score) in enumerate(zip(labels, scores)):
                 try:
@@ -185,30 +193,34 @@ def _convert(path, pending):
 def read_predictions(path, threshold=0.5):
     """Parse predictions.csv into PredictionSets grouped by (model, strategy).
 
-    Groups may come in any order; each sample_id string is held once per file.
-    A sample_id may appear once per (model, strategy) group; a repeat is
+    Groups may come in any order. Per row it keeps the interned sample_id and,
+    until each _BLOCK rows become arrays, the label and score strings. A
+    sample_id may appear once per (model, strategy) group; a repeat is
     reported with the file and line where it recurs.
     """
     groups, interned = {}, {}  # (model, strategy) -> (ids, runs of arrays)
-    rows = _rows(path, PREDICTIONS_HEADER)
-    while True:
-        pending, cur_model, cur_strategy = {}, None, None
-        try:
-            for _, (model, strategy, sid, label, score) in islice(rows, _BLOCK):
-                if model != cur_model or strategy != cur_strategy:
-                    cur_model, cur_strategy = model, strategy
-                    key = model, strategy
-                    if key not in pending:
-                        pending[key] = groups.setdefault(key, ([], [])) + ([], [])
-                    ids, _, labels, scores = pending[key]
-                ids.append(interned.setdefault(sid, sid))
-                labels.append(label)
-                scores.append(score)
-        finally:
-            # also before an error from _rows propagates, so an earlier bad value wins
-            _convert(path, pending)
-        if not pending:
-            break
+    with _reader(path, PREDICTIONS_HEADER) as reader:
+        pending = True  # until a block reads no row
+        while pending:
+            pending, cur_model, cur_strategy = {}, None, None
+            try:
+                for model, strategy, sid, label, score in islice(reader, _BLOCK):
+                    if model != cur_model or strategy != cur_strategy:
+                        key = cur_model, cur_strategy = model, strategy
+                        if key not in pending:
+                            pending[key] = groups.setdefault(key, ([], [])) + ([], [])
+                        ids, _, labels, scores = pending[key]
+                        add_id, add_label, add_score = ids.append, labels.append, scores.append
+                    add_id(interned.setdefault(sid, sid))
+                    add_label(label)
+                    add_score(score)
+            except UnicodeDecodeError:  # a ValueError too; _reader maps it
+                raise
+            except ValueError:  # the row did not unpack into 5 fields
+                raise InputError(f"{path}:{reader.line_num}: expected 5 columns") from None
+            finally:
+                # also before an error propagates, so an earlier bad value wins
+                _convert(path, pending)
     out = []
     for (model, strategy), (ids, runs) in groups.items():
         if len(set(ids)) != len(ids):

@@ -872,6 +872,27 @@ def test_bad_feature_row_names_line(
     assert f"error: {features}:6: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pipeline", "rfecv"])
+def test_partly_labelled_features_name_line(tmp_path, capsys, monkeypatch, command):
+    features = tmp_path / "features.csv"
+    make_features_csv(features, n_pos=10, n_neg=10)
+    lines = features.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = ""
+    lines[5] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+
+    def no_training(*args, **kwargs):
+        pytest.fail("training started")
+
+    monkeypatch.setattr(cli, "run_strategies", no_training)
+    monkeypatch.setattr(cli, "rfecv", no_training)
+    assert main([command, str(features), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {features}:6: label must be 0 or 1, as in the first row" in err
+    assert "label column required" not in err
+
+
 @pytest.mark.parametrize(
     "argv, n_pos, folds",
     [(["pipeline"], 9, 10), (["rfecv", "--folds", "7"], 6, 7)],

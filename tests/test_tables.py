@@ -2,9 +2,12 @@ import csv
 import re
 import tracemalloc
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coughrank import InputError, tables
 from coughrank.audio import FEATURE_COLUMNS
@@ -73,6 +76,22 @@ class TestFeaturesFile:
         write_features(path, self.make_rows(2, with_labels=False))
         _, labels, _ = read_features(path)
         assert labels is None
+
+    @pytest.mark.parametrize("first_labelled", [True, False])
+    def test_label_presence_differing_from_first_row_reports_line(
+        self, tmp_path, first_labelled
+    ):
+        rows = self.make_rows(4, with_labels=first_labelled)
+        sid, label, vec = rows[2]
+        rows[2] = (sid, None if first_labelled else 1, vec)
+        path = tmp_path / "features.csv"
+        write_features(path, rows)
+        wanted = "0 or 1" if first_labelled else "empty"
+        with pytest.raises(
+            InputError,
+            match=rf"^{re.escape(str(path))}:4: label must be {wanted}, as in the first row$",
+        ):
+            read_features(path)
 
     def test_wrong_vector_length_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -471,3 +490,117 @@ class TestPredictionsLayouts:
             tracemalloc.stop()
         assert sum(len(p.sample_ids) for p in sets) == 240_000
         assert peak / 240_000 < 60
+
+
+def assert_same_sets(got, want):
+    assert [(p.model_name, p.strategy_id) for p in got] == [
+        (p.model_name, p.strategy_id) for p in want
+    ]
+    for g, w in zip(got, want):
+        assert g.sample_ids == w.sample_ids
+        assert g.true_labels.dtype == w.true_labels.dtype
+        np.testing.assert_array_equal(g.true_labels, w.true_labels)
+        assert [float(x).hex() for x in g.scores] == [float(x).hex() for x in w.scores]
+
+
+def _physical_location(path, location):
+    """The oracle numbers a row by its index among CSV records; the reader by
+    the last physical line the record spans. Translate the oracle's number."""
+    if location == ":":
+        return location
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        ends = [reader.line_num for _ in reader]
+    return f":{ends[int(location[1:-1]) - 1]}:"
+
+
+# Ids hold a comma, quotes and a newline, so csv.writer quotes them and one
+# record can span two lines.
+FUZZ_MODELS = ["a", 'm,"b"']
+FUZZ_IDS = ["s0", 's,"1"', "s\n2", "s 3", "s4"]
+FUZZ_KEYS = [(m, s, i) for m in FUZZ_MODELS for s in ("1", "2") for i in FUZZ_IDS]
+FUZZ_LABELS = ["0", "1"] * 6 + [" 1", "+1", "01", "2", "x"]
+FUZZ_BAD_SCORES = ["high", "", "nan", "1.5", "-0.25"]
+
+
+@st.composite
+def prediction_files(draw):
+    """Rows over distinct (model, strategy, sample_id) keys, a few of them
+    faulty: a blank, short, long or repeated row, an odd label, a bad score."""
+    rows = []
+    for model, strategy, sid in draw(st.lists(st.sampled_from(FUZZ_KEYS), unique=True)):
+        label = draw(st.sampled_from(FUZZ_LABELS))
+        score = draw(
+            st.one_of(st.floats(0, 1).map(repr), st.sampled_from(FUZZ_BAD_SCORES))
+            if draw(st.integers(0, 9)) == 0
+            else st.floats(0, 1).map(repr)
+        )
+        row = [model, strategy, sid, label, score]
+        kind = draw(st.sampled_from(["row"] * 16 + ["blank", "short", "long", "repeat"]))
+        rows.append({"row": row, "blank": [], "short": row[:3], "long": row + ["x"]}.get(kind, row))
+        if kind == "repeat":
+            rows.append(row)
+    return rows, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+class TestPredictionsFuzz:
+    @pytest.mark.parametrize("block", [None, 1, 3, 7])
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    @given(drawn=prediction_files())
+    def test_same_sets_or_location_as_list_building_reader(
+        self, tmp_path_factory, block, drawn
+    ):
+        rows, newline = drawn
+        path = tmp_path_factory.getbasetemp() / "fuzz_predictions.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator=newline)
+            writer.writerow(["model", "strategy", "sample_id", "true_label", "score"])
+            writer.writerows(rows)
+        try:
+            want = oracle_read_predictions(path)
+        except ValueError as exc:
+            with pytest.raises(InputError) as got:
+                with mock.patch.object(tables, "_BLOCK", block or tables._BLOCK):
+                    read_predictions(path)
+            assert _location(path, got.value) == _physical_location(path, _location(path, exc))
+            return
+        with mock.patch.object(tables, "_BLOCK", block or tables._BLOCK):
+            got = read_predictions(path)
+        assert_same_sets(got, want)
+
+
+class TestLabelFastPath:
+    ODD = ["0", "01", "+1", "\u0661", " 1", "1", "0"]  # U+0661 is ARABIC-INDIC DIGIT ONE
+
+    def write(self, path, groups):
+        write_prediction_rows(
+            path,
+            [
+                [model, "1", f"s{i}", label, "0.5"]
+                for model, labels in groups.items()
+                for i, label in enumerate(labels)
+            ],
+        )
+
+    def test_same_arrays_as_int_parse(self, tmp_path):
+        groups = {"plain": ["0", "1", "1", "0"], "spaced": ["1", " 1", "0"], "odd": self.ODD}
+        path = tmp_path / "predictions.csv"
+        self.write(path, groups)
+        for ps in read_predictions(path):
+            want = np.array(groups[ps.model_name], dtype=int)
+            assert ps.true_labels.dtype == want.dtype
+            np.testing.assert_array_equal(ps.true_labels, want)
+
+    def test_non_binary_label_keeps_prediction_set_message(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        self.write(path, {"a": ["0", "1"], "b": ["1", "2", "0"]})
+        with pytest.raises(InputError) as exc:
+            read_predictions(path)
+        assert str(exc.value) == f"{path}: model 'b' in strategy 1: labels must be binary 0/1"
+
+    def test_unparsable_label_keeps_its_line(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        self.write(path, {"a": ["0", "1"], "b": ["1", "0", "x"]})
+        with pytest.raises(InputError) as exc:
+            read_predictions(path)
+        assert str(exc.value) == f"{path}:6: invalid literal for int() with base 10: 'x'"
