@@ -28,7 +28,7 @@ MODEL_DEFAULTS = {
 # Bytes of one k-NN query block's Gram rows (rows x n_train float64),
 # and of one chunk of its gathered candidate differences (pairs x d
 # float64).
-_KNN_BLOCK_BYTES = 2**20
+_KNN_BLOCK_BYTES = 2**18
 # Newton's method for logistic regression: the iteration cap, the
 # relative gradient tolerance, the Armijo fraction and how often one
 # step may be halved.
@@ -165,25 +165,26 @@ def balance_with_smote(features, labels, k_neighbors=5, seed=DEFAULT_SEED):
 
 
 class _Standardizer:
-    """Train-fold mean/std scaling; constant columns pass through."""
+    """Train-fold mean/std scaling (into `out` if given); constant columns pass through."""
 
     def __init__(self, X):
         self.mean = X.mean(axis=0)
         std = X.std(axis=0)
         self.std = np.where(std > 0, std, 1.0)
 
-    def __call__(self, X):
-        return (X - self.mean) / self.std
+    def __call__(self, X, out=None):
+        Z = np.subtract(X, self.mean, out=out)
+        return np.divide(Z, self.std, out=Z)
 
 
 class _Design:
-    """A scaler fitted to training rows and those rows scaled, alone and
-    with a ones column for the intercept: what logistic fits on them share."""
+    """A scaler fitted to training rows and those rows scaled, with a ones column
+    for the intercept (Xa) and without (X, its view): what logistic fits share."""
 
     def __init__(self, X):
         self.scaler = _Standardizer(X)
-        self.X = self.scaler(X)
-        self.Xa = np.hstack([self.X, np.ones((X.shape[0], 1))])
+        self.Xa = np.ones((X.shape[0], X.shape[1] + 1))
+        self.X = self.scaler(X, out=self.Xa[:, :-1])
 
 
 @dataclass
@@ -255,7 +256,10 @@ def _knn(T, X, k):
         dist = np.empty(qi.size)
         for s in range(0, qi.size, pairs):
             q, t = qi[s : s + pairs], ti[s : s + pairs]
-            dist[s : s + pairs] = np.linalg.norm(Xb[q] - T[t], axis=-1)
+            diff = Xb[q]  # np.linalg.norm(Xb[q] - T[t], axis=-1) in one buffer
+            diff -= T[t]
+            diff *= diff
+            dist[s : s + pairs] = np.sqrt(np.add.reduce(diff, axis=-1))
         # qi is sorted, so each query's candidates stay together in order
         ti = ti[np.lexsort((ti, dist, qi))]
         first = np.searchsorted(qi, np.arange(Xb.shape[0]))
@@ -321,12 +325,13 @@ def train_logreg(X, y, l2_strength=1.0, init=None):
     X, Xa = design.X, design.Xa
     w = np.zeros(Xa.shape[1]) if init is None else np.array(init, dtype=np.float64)
     loss, grad = logistic_objective(w, X, y, l2_strength)
+    B = np.empty_like(Xa)
     converged = False
     for it in range(1, LOGREG_MAX_ITER + 1):
         # sqrt(p(1-p)) as r/(1+r^2) with r = exp(-|z|/2), which keeps its
         # digits where p rounds to 1; B'B is one symmetric product
         r = np.exp(-0.5 * np.abs(Xa @ w))
-        B = Xa * (r / (1.0 + r * r))[:, None]
+        np.multiply(Xa, (r / (1.0 + r * r))[:, None], out=B)
         hessian = B.T @ B
         hessian.reshape(-1)[: -1 : Xa.shape[1] + 1] += l2_strength  # weights' diagonal
         step = np.linalg.solve(hessian, grad)
@@ -391,7 +396,7 @@ def _grid_search(model_name, grid, X, y, seed):
     return grid[mean_aucs.index(max(mean_aucs))]
 
 
-def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1"):
+def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1", map=map):
     """Out-of-fold predictions for each (model_name, StrategyConfig) cell.
 
     One pass over the outer 10-fold stratified CV serves every cell:
@@ -401,20 +406,24 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
     inner 5-fold grid search on AUC. The decision threshold is chosen
     on training-fold predictions and averaged over folds (InputError if the objective
     is undefined at every cutoff). Returns one PredictionSet per cell, in `cells` order.
+
+    Folds share no state (fold f draws from seed + f): `map`, e.g. a thread pool's, may
+    run them at once; results and the first fold's error are taken in fold order.
     """
     for model_name, _ in cells:
         if model_name not in _TRAINERS:
             raise ValueError(f"unknown model {model_name!r}")
-    oof_scores = np.zeros((len(cells), ds.features.shape[0]))
-    thresholds = [[] for _ in cells]
-    for fold, (tr, te) in enumerate(stratified_splits(ds.labels, OUTER_FOLDS, seed)):
+
+    def train_fold(fold, tr, te):
+        """(test-fold scores, threshold) of each cell."""
         X_tr, y_tr, X_te = ds.features[tr], ds.labels[tr], ds.features[te]
         fit_sets = {False: (X_tr, y_tr)}
         if any(cfg.use_smote for _, cfg in cells):
             fit_sets[True] = balance_with_smote(
                 X_tr, y_tr, k_neighbors=smote_k, seed=seed + fold
             )
-        for c, (model_name, cfg) in enumerate(cells):
+        results = []
+        for model_name, cfg in cells:
             X_fit, y_fit = fit_sets[cfg.use_smote]
             if cfg.id == 3:
                 params = _grid_search(
@@ -424,12 +433,20 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
                 params = MODEL_DEFAULTS[model_name]
             fit, predict = _TRAINERS[model_name]
             model = fit(X_fit, y_fit, **params)
-            oof_scores[c, te] = predict(model, X_te)
             train_scores = np.clip(predict(model, X_tr), 0.0, 1.0)
             try:
-                thresholds[c].append(threshold_sweep(y_tr, train_scores, threshold_objective))
+                threshold = threshold_sweep(y_tr, train_scores, threshold_objective)
             except ValueError as exc:
                 raise InputError(f"model {model_name!r} in strategy {cfg.id}: {exc}") from exc
+            results.append((predict(model, X_te), threshold))
+        return results
+
+    splits = stratified_splits(ds.labels, OUTER_FOLDS, seed)
+    folds = list(map(train_fold, range(OUTER_FOLDS), *zip(*splits)))
+    oof_scores = np.zeros((len(cells), ds.features.shape[0]))
+    for (_, te), results in zip(splits, folds):
+        oof_scores[:, te] = [scores for scores, _ in results]
+    thresholds = [[results[c][1] for results in folds] for c in range(len(cells))]
     order = np.argsort(np.asarray(ds.sample_ids, dtype=object), kind="stable")
     return [
         PredictionSet(
@@ -440,9 +457,7 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
             scores=np.clip(scores[order], 0.0, 1.0),
             threshold=float(np.mean(cell_thresholds)),
         )
-        for (model_name, cfg), scores, cell_thresholds in zip(
-            cells, oof_scores, thresholds
-        )
+        for (model_name, cfg), scores, cell_thresholds in zip(cells, oof_scores, thresholds)
     ]
 
 

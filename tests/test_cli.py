@@ -1001,6 +1001,51 @@ def test_cli_import_loads_no_scipy():
         assert result.stdout.strip() == "[]", statement
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, ["1", "1", "1"]), ("3", ["3", "1", "1"])])
+def test_cli_import_sets_one_blas_thread_unless_set(preset, want):
+    """Importing the CLI sets each BLAS thread variable the user left unset
+    to 1, before numpy starts loading; a value the user set stays."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(src)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.append([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "import coughrank.cli\n"
+        f"print(seen, [os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"[{want!r}] {want!r}"
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, workers",
+    [({0, 1, 2}, 8, 3), (None, 5, 5), (None, None, 1)],
+    ids=["affinity", "no_affinity", "no_affinity_no_count"],
+)
+def test_cpu_pool_has_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count, workers):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    with cli._cpu_pool() as pool:
+        assert pool._max_workers == workers
+
+
 @pytest.mark.parametrize("command", ["evaluate", "rank", "pipeline", "rfecv"])
 def test_numpy_only_command_loads_no_scipy(tmp_path, command):
     """README says these four run on numpy alone: in a fresh interpreter

@@ -155,6 +155,21 @@ class TestNeighbourSearch:
         queries = np.random.default_rng(5).normal(size=(23, 8))
         assert_matches_oracle(model, queries)
 
+    def test_memory_peak_on_2000_by_193(self):
+        """Above its output, a search holds a few blocks: the Gram rows, their
+        partition, and one chunk of candidate differences with its gather."""
+        rng = np.random.default_rng(31)
+        T, X = feature_like(rng, 2000), feature_like(rng, 2000)
+        block_bytes = learn._KNN_BLOCK_BYTES
+        learn._knn(T[:50], X[:50], 5)
+        tracemalloc.start()
+        try:
+            nearest = learn._knn(T, X, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - nearest.nbytes <= 5 * block_bytes, (peak, block_bytes)
+
     def test_single_query_row(self):
         train = noisy_dataset(12, 18, seed=6)
         model = train_knn(train.features, train.labels, n_neighbors=5)

@@ -167,6 +167,18 @@ def test_design_fit_is_the_raw_fit(set_name, l2):
     assert design.X.tobytes() == kept[0].tobytes() and design.Xa.tobytes() == kept[1].tobytes()
 
 
+@pytest.mark.parametrize("set_name", sorted(SETS))
+def test_design_is_one_buffer(set_name):
+    """X is Xa without its ones column, as a view, and both hold the rows
+    standardized and stacked as they were when they were two arrays."""
+    train, _, _ = SETS[set_name]()
+    design = _Design(train.features)
+    scaled = (train.features - design.scaler.mean) / design.scaler.std
+    stacked = np.hstack([scaled, np.ones((scaled.shape[0], 1))])
+    assert np.shares_memory(design.X, design.Xa)
+    assert design.Xa.tobytes() == stacked.tobytes() and design.X.tobytes() == scaled.tobytes()
+
+
 def test_iteration_cap_reported_not_raised(monkeypatch):
     monkeypatch.setattr(learn, "LOGREG_MAX_ITER", 1)
     train, _, _ = overlapping()
