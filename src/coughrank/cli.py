@@ -19,7 +19,11 @@ from pathlib import Path
 
 # Task pools, not BLAS, take the CPUs: BLAS threads only contend on calls of at
 # most about 380 x 194. Set before numpy loads; a value the user has set wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# If numpy loaded first and no value was set, BLAS keeps its default threads,
+# and the pools run one worker rather than oversubscribe the CPUs.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_THREADED = "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_VARS)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np
@@ -130,10 +134,12 @@ def write_manifest(out_dir, config, inputs, seed):
 
 @contextmanager
 def _cpu_pool():
-    """A thread pool with one worker per usable CPU; on exit queued tasks are cancelled."""
+    """A thread pool with one worker per usable CPU (one if BLAS runs its own
+    threads); on exit queued tasks are cancelled."""
     from concurrent.futures import ThreadPoolExecutor
     affinity = getattr(os, "sched_getaffinity", None)
-    pool = ThreadPoolExecutor(len(affinity(0)) if affinity else os.cpu_count() or 1)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    pool = ThreadPoolExecutor(1 if _BLAS_THREADED else cpus)
     try:
         yield pool
     finally:
@@ -141,7 +147,7 @@ def _cpu_pool():
 
 
 def cmd_extract(args):
-    """One thread per usable CPU featurizes clips; rows and logs follow sorted file order."""
+    """The CPU pool featurizes clips; rows and logs follow sorted file order."""
     input_dir = Path(args.input_dir)
     wavs = sorted(p for p in input_dir.glob("*") if p.suffix.lower() == ".wav")
     if not wavs:

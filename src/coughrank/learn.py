@@ -197,10 +197,8 @@ class KnnModel:
 
 def train_knn(X, y, n_neighbors=5):
     """Fit a k-nearest-neighbor scorer on standardized features."""
-    if X.shape[0] == 0:
-        raise ValueError("empty training set")
-    if n_neighbors > X.shape[0]:
-        raise ValueError("n_neighbors exceeds training set size")
+    if not 1 <= n_neighbors <= X.shape[0]:
+        raise ValueError("require 1 <= n_neighbors <= training set size")
     scaler = _Standardizer(X)
     return KnnModel(
         train_features=scaler(X),
@@ -267,16 +265,20 @@ def _knn(T, X, k):
     return nearest
 
 
-def _nearest_neighbors(model, features, k):
-    """Indices of the k nearest training points of each query, nearest first."""
-    X = model.scaler(np.asarray(features, dtype=np.float64))
-    return _knn(model.train_features, X, k)
-
-
 def predict_knn(model, features):
     """Score = fraction of the k nearest training points labeled positive."""
-    nearest = _nearest_neighbors(model, features, model.n_neighbors)
-    return model.train_labels[nearest].mean(axis=1)
+    return _knn_scores(model, features, [model.n_neighbors])[0]
+
+
+def _knn_scores(model, queries, ks):
+    """The k-NN score of each query for each k in ks (k <= len(training set)).
+
+    One search at max(ks) serves every k: `_knn` is a stable sort by
+    distance, so the first k of its max(ks) neighbours are the k nearest.
+    """
+    X = model.scaler(np.asarray(queries, dtype=np.float64))
+    neighbor_labels = model.train_labels[_knn(model.train_features, X, max(ks))]
+    return [neighbor_labels[:, :k].mean(axis=1) for k in ks]
 
 
 def logistic_objective(w, X, y, l2_strength):
@@ -358,18 +360,12 @@ def predict_logreg(model, features):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-_TRAINERS = {
-    "knn": (train_knn, predict_knn),
-    "logreg": (train_logreg, predict_logreg),
-}
-
-
 def _grid_search(model_name, grid, X, y, seed):
     """Inner stratified CV over the grid, selecting on mean AUC; the
     first best in grid order wins.
 
-    For k-NN one neighbour search per inner fold, at the largest k of
-    the grid, scores every k. For logistic regression each inner fold
+    For k-NN one `_knn_scores` search per inner fold, at the largest k
+    of the grid, scores every k. For logistic regression each inner fold
     fits the grid from the strongest penalty to the weakest, each fit
     starting from the weights of the one before, on one `_Design` of its
     rows (the pathwise warm start of glmnet: Friedman, Hastie & Tibshirani,
@@ -379,11 +375,9 @@ def _grid_search(model_name, grid, X, y, seed):
     for tr, te in stratified_splits(y, INNER_FOLDS, seed):
         X_tr, y_tr, X_te, y_te = X[tr], y[tr], X[te], y[te]
         if model_name == "knn":
-            k_max = max(params["n_neighbors"] for params in grid)
-            model = train_knn(X_tr, y_tr, n_neighbors=k_max)
-            neighbor_labels = y_tr[_nearest_neighbors(model, X_te, k_max)]
-            for fold_aucs, params in zip(aucs, grid):
-                scores = neighbor_labels[:, : params["n_neighbors"]].mean(axis=1)
+            ks = [params["n_neighbors"] for params in grid]
+            model = train_knn(X_tr, y_tr, max(ks))
+            for fold_aucs, scores in zip(aucs, _knn_scores(model, X_te, ks)):
                 fold_aucs.append(rank_auc(y_te, scores))
         else:
             design, w = _Design(X_tr), None
@@ -399,46 +393,56 @@ def _grid_search(model_name, grid, X, y, seed):
 def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1", map=map):
     """Out-of-fold predictions for each (model_name, StrategyConfig) cell.
 
-    One pass over the outer 10-fold stratified CV serves every cell:
-    each fold's split, and its SMOTE-balanced training set if any cell
-    uses SMOTE, are built once. SMOTE is applied to the training
-    portion only. Strategy 3 picks hyper-parameters per outer fold by
-    inner 5-fold grid search on AUC. The decision threshold is chosen
-    on training-fold predictions and averaged over folds (InputError if the objective
-    is undefined at every cutoff). Returns one PredictionSet per cell, in `cells` order.
+    One pass over the outer 10-fold stratified CV serves every cell: each fold
+    makes its split, its SMOTE-balanced training set (training portion only)
+    if a cell uses SMOTE, and one k-NN search per fit set (at the largest k of
+    its cells, after strategy 3 picks hyper-parameters by inner 5-fold grid
+    search on AUC) once. The decision threshold is chosen on training-fold
+    predictions and averaged over folds (InputError if the objective is
+    undefined at every cutoff). Returns one PredictionSet per cell, in `cells` order.
 
     Folds share no state (fold f draws from seed + f): `map`, e.g. a thread pool's, may
     run them at once; results and the first fold's error are taken in fold order.
     """
     for model_name, _ in cells:
-        if model_name not in _TRAINERS:
+        if model_name not in MODEL_GRIDS:
             raise ValueError(f"unknown model {model_name!r}")
 
     def train_fold(fold, tr, te):
         """(test-fold scores, threshold) of each cell."""
-        X_tr, y_tr, X_te = ds.features[tr], ds.labels[tr], ds.features[te]
+        X_tr, y_tr = ds.features[tr], ds.labels[tr]
         fit_sets = {False: (X_tr, y_tr)}
         if any(cfg.use_smote for _, cfg in cells):
             fit_sets[True] = balance_with_smote(
                 X_tr, y_tr, k_neighbors=smote_k, seed=seed + fold
             )
+        params = [
+            _grid_search(name, MODEL_GRIDS[name], *fit_sets[cfg.use_smote], seed + fold)
+            if cfg.id == 3
+            else MODEL_DEFAULTS[name]
+            for name, cfg in cells
+        ]
+        # one search of all of ds per fit set: train and test rows are its slices
+        knn = [(c, cfg.use_smote) for c, (name, cfg) in enumerate(cells) if name == "knn"]
+        scores = {}  # cell -> (training-row scores, test-row scores)
+        for smoted in {s for _, s in knn}:
+            cs = [c for c, s in knn if s == smoted]
+            ks = [params[c]["n_neighbors"] for c in cs]
+            all_rows = _knn_scores(train_knn(*fit_sets[smoted], max(ks)), ds.features, ks)
+            scores.update((c, (row[tr], row[te])) for c, row in zip(cs, all_rows))
         results = []
-        for model_name, cfg in cells:
-            X_fit, y_fit = fit_sets[cfg.use_smote]
-            if cfg.id == 3:
-                params = _grid_search(
-                    model_name, MODEL_GRIDS[model_name], X_fit, y_fit, seed + fold
-                )
-            else:
-                params = MODEL_DEFAULTS[model_name]
-            fit, predict = _TRAINERS[model_name]
-            model = fit(X_fit, y_fit, **params)
-            train_scores = np.clip(predict(model, X_tr), 0.0, 1.0)
+        for c, (model_name, cfg) in enumerate(cells):
+            if c not in scores:
+                # two products, not one of all rows as for k-NN: BLAS may sum a row
+                # differently by its place in the block; the k-NN search is exact
+                model = train_logreg(*fit_sets[cfg.use_smote], **params[c])
+                scores[c] = predict_logreg(model, X_tr), predict_logreg(model, ds.features[te])
+            train_scores, test_scores = scores[c]
             try:
                 threshold = threshold_sweep(y_tr, train_scores, threshold_objective)
             except ValueError as exc:
                 raise InputError(f"model {model_name!r} in strategy {cfg.id}: {exc}") from exc
-            results.append((predict(model, X_te), threshold))
+            results.append((test_scores, threshold))
         return results
 
     splits = stratified_splits(ds.labels, OUTER_FOLDS, seed)
@@ -454,7 +458,7 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
             strategy_id=str(cfg.id),
             sample_ids=[ds.sample_ids[i] for i in order],
             true_labels=ds.labels[order],
-            scores=np.clip(scores[order], 0.0, 1.0),
+            scores=scores[order],
             threshold=float(np.mean(cell_thresholds)),
         )
         for (model_name, cfg), scores, cell_thresholds in zip(cells, oof_scores, thresholds)
@@ -494,11 +498,7 @@ def rfecv(ds, step=1, k_folds=INNER_FOLDS, seed=DEFAULT_SEED):
         ]
         score = float(np.mean(aucs))
         curve.append((size, score))
-        if (
-            best_score is None
-            or score > best_score
-            or (score == best_score and size < int(best_mask.sum()))
-        ):
+        if best_score is None or score >= best_score:  # sizes fall: a tie goes to the smaller
             best_mask, best_score = mask.copy(), score
         if size <= step:
             break

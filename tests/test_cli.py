@@ -1032,11 +1032,41 @@ def test_cli_import_sets_one_blas_thread_unless_set(preset, want):
 
 
 @pytest.mark.parametrize(
+    "first, preset, workers",
+    [("numpy", None, 1), ("numpy", "1", 3), ("coughrank.cli", None, 3)],
+    ids=["numpy_first", "numpy_first_blas_set", "cli_first"],
+)
+def test_cpu_pool_has_one_worker_if_numpy_loaded_first_with_blas_unset(first, preset, workers):
+    """numpy loaded before the CLI keeps its default BLAS threads unless the
+    user set a count, so the pool then runs one worker instead of one per CPU."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(src)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        f"import {first}\n"
+        "import os\n"
+        "from coughrank import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "with cli._cpu_pool() as pool:\n"
+        "    print(pool._max_workers)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(workers)
+
+
+@pytest.mark.parametrize(
     "affinity, cpu_count, workers",
     [({0, 1, 2}, 8, 3), (None, 5, 5), (None, None, 1)],
     ids=["affinity", "no_affinity", "no_affinity_no_count"],
 )
 def test_cpu_pool_has_one_worker_per_usable_cpu(monkeypatch, affinity, cpu_count, workers):
+    # the process that runs the tests loaded numpy first: pin the flag that records it
+    monkeypatch.setattr(cli, "_BLAS_THREADED", False)
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:

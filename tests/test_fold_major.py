@@ -22,11 +22,13 @@ from coughrank.learn import (
     StrategyConfig,
     INNER_FOLDS,
     balance_with_smote,
+    predict_logreg,
     rfecv,
     run_strategies,
     stratified_kfold,
     stratified_splits,
     train_knn,
+    train_logreg,
 )
 from coughrank.metrics import PredictionSet, rank_auc, threshold_sweep
 
@@ -36,6 +38,25 @@ from test_learn import cluster_dataset
 STANDARD_CELLS = [
     (model, StrategyConfig.standard(s)) for s in (1, 2, 3) for model in ("knn", "logreg")
 ]
+
+
+def nearest_neighbors(model, features, k):
+    """Indices of the k nearest training points of each query, nearest first."""
+    X = model.scaler(np.asarray(features, dtype=np.float64))
+    return learn._knn(model.train_features, X, k)
+
+
+def predict_knn_per_model(model, features):
+    """The former `predict_knn`: one search per model, at its own k."""
+    nearest = nearest_neighbors(model, features, model.n_neighbors)
+    return model.train_labels[nearest].mean(axis=1)
+
+
+# the fit and predict functions of each model, as the former fold loops called them
+TRAINERS = {
+    "knn": (train_knn, predict_knn_per_model),
+    "logreg": (train_logreg, predict_logreg),
+}
 
 
 def grid_search_oracle(model_name, grid, train, seed):
@@ -54,13 +75,13 @@ def grid_search_oracle(model_name, grid, train, seed):
             k_max = max(params["n_neighbors"] for params in grid)
             model = train_knn(inner_train.features, inner_train.labels, n_neighbors=k_max)
             neighbor_labels = model.train_labels[
-                learn._nearest_neighbors(model, test_features, k_max)
+                nearest_neighbors(model, test_features, k_max)
             ]
             for fold_aucs, params in zip(aucs, grid):
                 scores = neighbor_labels[:, : params["n_neighbors"]].mean(axis=1)
                 fold_aucs.append(rank_auc(test_labels, scores))
         else:
-            fit, predict = learn._TRAINERS[model_name]
+            fit, predict = TRAINERS[model_name]
             for fold_aucs, params in zip(aucs, grid):
                 model = fit(inner_train.features, inner_train.labels, **params)
                 scores = predict(model, test_features)
@@ -98,7 +119,7 @@ def per_strategy_oracle(ds, model_name, cfg, seed, smote_k=5, threshold_objectiv
             )
         else:
             params = MODEL_DEFAULTS[model_name]
-        fit, predict = learn._TRAINERS[model_name]
+        fit, predict = TRAINERS[model_name]
         model = fit(fit_set.features, fit_set.labels, **params)
         oof_scores[test_mask] = predict(model, ds.features[test_mask])
         train_preds = PredictionSet(
@@ -149,20 +170,20 @@ def test_non_standard_cell_order():
     assert_matches_oracle(ds, cells, seed=11)
 
 
-def count_smote_calls(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    original = learn.smote
+    original = getattr(learn, name)
 
-    def counting_smote(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(learn, "smote", counting_smote)
+    monkeypatch.setattr(learn, name, counting)
     return calls
 
 
 def test_no_smote_without_smote_cells(monkeypatch):
-    calls = count_smote_calls(monkeypatch)
+    calls = count_calls(monkeypatch, "smote")
     ds = cluster_dataset(15, 30, seed=9)
     cells = [("knn", StrategyConfig.standard(1)), ("logreg", StrategyConfig.standard(1))]
     run_strategies(ds, cells, seed=3)
@@ -170,11 +191,20 @@ def test_no_smote_without_smote_cells(monkeypatch):
 
 
 def test_pipeline_runs_smote_once_per_outer_fold(tmp_path, monkeypatch):
-    calls = count_smote_calls(monkeypatch)
+    calls = count_calls(monkeypatch, "smote")
     features = tmp_path / "features.csv"
     make_features_csv(features, n_pos=14, n_neg=26, gap=0.25, seed=4)
     assert main(["pipeline", str(features), "--out", str(tmp_path / "out")]) in (0, 3)
     assert len(calls) == OUTER_FOLDS
+
+
+def test_eight_neighbour_searches_per_outer_fold(monkeypatch):
+    """SMOTE's, one per fit set for all its k-NN cells, and one per inner
+    grid-search fold."""
+    calls = count_calls(monkeypatch, "_knn")
+    ds = cluster_dataset(18, 42, n_features=5, gap=1.2, seed=5)
+    run_strategies(ds, STANDARD_CELLS, seed=5, map=map)
+    assert len(calls) == OUTER_FOLDS * (1 + 2 + INNER_FOLDS) == 80
 
 
 def cv_auc_oracle(ds, mask, k_folds, seed):
@@ -187,7 +217,7 @@ def cv_auc_oracle(ds, mask, k_folds, seed):
             ds.labels[~test],
             [ds.sample_ids[i] for i in np.flatnonzero(~test)],
         )
-        fit, predict = learn._TRAINERS["logreg"]
+        fit, predict = TRAINERS["logreg"]
         model = fit(train.features, train.labels, **MODEL_DEFAULTS["logreg"])
         scores = predict(model, ds.features[test][:, mask])
         aucs.append(rank_auc(ds.labels[test], scores))

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import coughrank.cli as cli
 import coughrank.learn as learn
 from coughrank.cli import EXIT_INPUT, main
 from coughrank.learn import OUTER_FOLDS, run_strategies, stratified_splits
@@ -20,6 +21,8 @@ from test_learn import cluster_dataset
 
 
 def use_cpus(monkeypatch, cpus):
+    # the process that runs the tests loaded numpy first: pin the flag that records it
+    monkeypatch.setattr(cli, "_BLAS_THREADED", False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 

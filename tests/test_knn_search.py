@@ -22,6 +22,8 @@ from coughrank.learn import (
 )
 from coughrank.metrics import rank_auc
 
+from test_fold_major import nearest_neighbors
+
 
 def nearest_oracle(model, features):
     """One n_query x n_train x d difference tensor, one stable argsort."""
@@ -104,11 +106,24 @@ def noisy_dataset(n_pos, n_neg, n_features=5, gap=1.0, seed=0):
 
 def assert_matches_oracle(model, queries):
     np.testing.assert_array_equal(
-        learn._nearest_neighbors(model, queries, model.n_neighbors),
+        nearest_neighbors(model, queries, model.n_neighbors),
         nearest_oracle(model, queries),
     )
     new, old = predict_knn(model, queries), predict_knn_oracle(model, queries)
     assert np.array_equal(new, old)
+    assert_every_k_is_a_prefix(model, queries)
+
+
+def assert_every_k_is_a_prefix(model, queries):
+    """The search at each k <= n_neighbors is the first k columns of the one
+    at n_neighbors, which is what lets one search serve a whole k grid."""
+    X = model.scaler(np.asarray(queries, dtype=np.float64))
+    k_max = model.n_neighbors
+    nearest = learn._knn(model.train_features, X, k_max)
+    for k in range(1, k_max + 1):
+        np.testing.assert_array_equal(
+            learn._knn(model.train_features, X, k), nearest[:, :k], err_msg=f"k={k}"
+        )
 
 
 def unscaled_model(T, k):
@@ -245,7 +260,7 @@ class TestNeighbourSearch:
         queries = np.vstack(
             [train.features[::4], np.random.default_rng(18).normal(size=(100, 193))]
         )
-        got = learn._nearest_neighbors(model, queries, model.n_neighbors)
+        got = nearest_neighbors(model, queries, model.n_neighbors)
         for start in range(0, len(queries), 25):
             block = slice(start, start + 25)
             want = nearest_oracle(model, queries[block])

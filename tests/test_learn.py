@@ -161,6 +161,12 @@ class TestKnn:
         with pytest.raises(ValueError):
             train_knn(ds.features, ds.labels, n_neighbors=7)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        ds = cluster_dataset(3, 3)
+        with pytest.raises(ValueError, match="1 <= n_neighbors"):
+            train_knn(ds.features, ds.labels, n_neighbors=k)
+
     def test_scores_in_unit_interval(self):
         ds = cluster_dataset(10, 10, seed=6)
         model = train_knn(ds.features, ds.labels, n_neighbors=4)
