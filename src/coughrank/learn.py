@@ -393,13 +393,13 @@ def _grid_search(model_name, grid, X, y, seed):
 def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective="f1", map=map):
     """Out-of-fold predictions for each (model_name, StrategyConfig) cell.
 
-    One pass over the outer 10-fold stratified CV serves every cell: each fold
-    makes its split, its SMOTE-balanced training set (training portion only)
-    if a cell uses SMOTE, and one k-NN search per fit set (at the largest k of
-    its cells, after strategy 3 picks hyper-parameters by inner 5-fold grid
-    search on AUC) once. The decision threshold is chosen on training-fold
-    predictions and averaged over folds (InputError if the objective is
-    undefined at every cutoff). Returns one PredictionSet per cell, in `cells` order.
+    One pass over the outer 10-fold stratified CV serves every cell. Each fold
+    makes its split and, if a cell uses SMOTE, the SMOTE balance of its training
+    rows; picks every cell's hyper-parameters (strategy 3: inner 5-fold grid search
+    on AUC); searches each fit set once for its k-NN cells; then fits logistic cells
+    and chooses thresholds on training-fold predictions cell by cell, so any cell's
+    search error precedes an earlier cell's undefined objective (InputError). Thresholds
+    are averaged over folds. Returns one PredictionSet per cell, in `cells` order.
 
     Folds share no state (fold f draws from seed + f): `map`, e.g. a thread pool's, may
     run them at once; results and the first fold's error are taken in fold order.
@@ -410,7 +410,7 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
 
     def train_fold(fold, tr, te):
         """(test-fold scores, threshold) of each cell."""
-        X_tr, y_tr = ds.features[tr], ds.labels[tr]
+        X_tr, y_tr, X_te = ds.features[tr], ds.labels[tr], ds.features[te]
         fit_sets = {False: (X_tr, y_tr)}
         if any(cfg.use_smote for _, cfg in cells):
             fit_sets[True] = balance_with_smote(
@@ -423,20 +423,20 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
             for name, cfg in cells
         ]
         # one search of all of ds per fit set: train and test rows are its slices
-        knn = [(c, cfg.use_smote) for c, (name, cfg) in enumerate(cells) if name == "knn"]
         scores = {}  # cell -> (training-row scores, test-row scores)
-        for smoted in {s for _, s in knn}:
-            cs = [c for c, s in knn if s == smoted]
-            ks = [params[c]["n_neighbors"] for c in cs]
-            all_rows = _knn_scores(train_knn(*fit_sets[smoted], max(ks)), ds.features, ks)
-            scores.update((c, (row[tr], row[te])) for c, row in zip(cs, all_rows))
+        for smoted, fit in fit_sets.items():
+            cs = [c for c, (n, cfg) in enumerate(cells) if n == "knn" and cfg.use_smote == smoted]
+            if cs:
+                ks = [params[c]["n_neighbors"] for c in cs]
+                all_rows = _knn_scores(train_knn(*fit, max(ks)), ds.features, ks)
+                scores.update((c, (row[tr], row[te])) for c, row in zip(cs, all_rows))
         results = []
         for c, (model_name, cfg) in enumerate(cells):
-            if c not in scores:
+            if model_name == "logreg":
                 # two products, not one of all rows as for k-NN: BLAS may sum a row
                 # differently by its place in the block; the k-NN search is exact
                 model = train_logreg(*fit_sets[cfg.use_smote], **params[c])
-                scores[c] = predict_logreg(model, X_tr), predict_logreg(model, ds.features[te])
+                scores[c] = predict_logreg(model, X_tr), predict_logreg(model, X_te)
             train_scores, test_scores = scores[c]
             try:
                 threshold = threshold_sweep(y_tr, train_scores, threshold_objective)
@@ -458,7 +458,7 @@ def run_strategies(ds, cells, seed=DEFAULT_SEED, smote_k=5, threshold_objective=
             strategy_id=str(cfg.id),
             sample_ids=[ds.sample_ids[i] for i in order],
             true_labels=ds.labels[order],
-            scores=scores[order],
+            scores=np.clip(scores[order], 0.0, 1.0),
             threshold=float(np.mean(cell_thresholds)),
         )
         for (model_name, cfg), scores, cell_thresholds in zip(cells, oof_scores, thresholds)

@@ -249,6 +249,7 @@ class TestExtract:
     @pytest.fixture
     def mixed_dir(self, tmp_path, monkeypatch):
         """8 WAVs, 3 of them undecodable, featurized by four workers."""
+        monkeypatch.setattr(cli, "_BLAS_THREADED", False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()

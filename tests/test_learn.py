@@ -283,6 +283,13 @@ class TestRfecv:
         assert sizes[0] == 8
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
+    def test_tie_goes_to_the_smaller_mask(self):
+        ds = cluster_dataset(20, 20, n_features=5, gap=12.0, seed=3)
+        mask, curve = rfecv(ds, step=1)
+        assert [s for s, _ in curve] == [5, 4, 3, 2, 1]
+        assert len({auc for _, auc in curve}) == 1  # every size ties
+        assert mask.sum() == 1
+
     def test_step_of_d_minus_one_gives_two_points(self):
         ds = self._informative_dataset(1, n_noise=4)
         mask, curve = rfecv(ds, step=5)
