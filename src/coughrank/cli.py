@@ -75,6 +75,8 @@ def read_config(path):
             pass
         if key not in PIPELINE_CONFIG:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in config:
+            raise InputError(f"{path}:{lineno}: repeated key {key!r}")
         check, wanted = PIPELINE_CONFIG[key]
         if not check(value):
             raise InputError(f"{path}:{lineno}: {key} must be {wanted}")
@@ -196,9 +198,8 @@ def _write_matrices(out_dir, sourced_sets, criteria):
     for strategy in sorted(by_strategy):
         group = by_strategy[strategy]
         if len(group) < 2:
-            raise InputError(
-                f"strategy {strategy}: need at least 2 models, got {len(group)}"
-            )
+            [(source, _)] = group.values()
+            raise InputError(f"{source}: strategy {strategy}: need at least 2 models, got 1")
         strategy_reports = {}
         for model, (source, ps) in sorted(group.items()):
             try:
@@ -226,6 +227,8 @@ def _write_matrices(out_dir, sourced_sets, criteria):
 def cmd_evaluate(args):
     if not args.predictions and not args.matrix:
         raise InputError("evaluate: a predictions file or --matrix is required")
+    if args.predictions and args.matrix:
+        raise InputError(f"evaluate: give {args.predictions} or --matrix {args.matrix}, not both")
     out_dir = _OutDir(args.out)
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
@@ -241,6 +244,13 @@ def cmd_evaluate(args):
     if unknown := [c.name for c in criteria if c.name not in METRIC_NAMES]:
         raise InputError(f"{args.criteria}: {unknown[0]!r} is not one of {METRIC_NAMES}")
     prediction_sets = tables.read_predictions(args.predictions, threshold=args.threshold)
+    if not prediction_sets:
+        raise InputError(f"{args.predictions}: no prediction rows")
+    first = {}  # each strategy's first group in model-name order
+    for ps in sorted(prediction_sets, key=lambda ps: (ps.strategy_id, ps.model_name)):
+        ref = first.setdefault(ps.strategy_id, ps)
+        name = f"model {ref.model_name!r}"
+        tables.check_samples(args.predictions, ps, ref.id_codes, ref.true_labels, name)
     _, degenerate = _write_matrices(
         out_dir, [(args.predictions, ps) for ps in prediction_sets], criteria
     )
@@ -332,27 +342,15 @@ def _read_external(path, features_csv, ds):
     must cover exactly the ids of features.csv with their labels there, and
     each model must come in exactly strategies 1, 2 and 3."""
     in_repo = {str(s) for s in STRATEGIES}
-    known = dict(zip(ds.sample_ids, ds.labels.tolist()))
-    prediction_sets = tables.read_predictions(path)
+    prediction_sets = tables.read_predictions(path, first_ids=ds.sample_ids)
+    ref_codes = np.arange(len(ds.sample_ids))  # code i is ds.sample_ids[i]
     for ps in prediction_sets:
         if ps.model_name in IN_REPO_MODELS and ps.strategy_id in in_repo:
             raise InputError(
                 f"{path}: external model {ps.model_name!r} in strategy "
                 f"{ps.strategy_id} clashes with the in-repo model of that name"
             )
-        group = f"model {ps.model_name!r} in strategy {ps.strategy_id}"
-        for index, (sid, label) in enumerate(zip(ps.sample_ids, ps.true_labels.tolist())):
-            if known.get(sid) != label:
-                line = tables._group_line(path, ps.model_name, ps.strategy_id, index)
-                there = f"label {known[sid]}" if sid in known else "no row"
-                raise InputError(
-                    f"{path}:{line}: {group}: sample_id {sid!r} has label {label},"
-                    f" but {features_csv} has {there}"
-                )
-        present = set(ps.sample_ids)
-        missing = next((sid for sid in known if sid not in present), None)
-        if missing is not None:
-            raise InputError(f"{path}: {group}: no row for sample_id {missing!r}")
+        tables.check_samples(path, ps, ref_codes, ds.labels, features_csv)
     for model in dict.fromkeys(ps.model_name for ps in prediction_sets):
         found = {ps.strategy_id for ps in prediction_sets if ps.model_name == model}
         odd = sorted(found ^ in_repo)

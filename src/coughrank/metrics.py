@@ -24,22 +24,27 @@ BENEFIT = "benefit"
 COST = "cost"
 
 
-@dataclass
 class PredictionSet:
-    """True labels and classifier scores for one (model, strategy)."""
+    """True labels and classifier scores for one (model, strategy).
 
-    model_name: str
-    strategy_id: str
-    sample_ids: list
-    true_labels: np.ndarray
-    scores: np.ndarray
-    threshold: float = 0.5
+    The rows' sample ids are held as int32 `id_codes` into `id_table`, a list
+    of distinct ids that every set read from one file shares, so the ids of two
+    such sets compare as arrays. `sample_ids` decodes them. Without `id_table`,
+    `sample_ids` lists each row's id; with it, each row's code.
+    """
 
-    def __post_init__(self):
-        self.true_labels = np.asarray(self.true_labels, dtype=int)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.true_labels.shape != self.scores.shape:
-            raise ValueError("labels and scores must align")
+    def __init__(self, model_name, strategy_id, sample_ids, true_labels, scores,
+                 threshold=0.5, id_table=None):
+        if id_table is None:
+            codes = {}
+            sample_ids = [codes.setdefault(sid, len(codes)) for sid in sample_ids]
+            id_table = list(codes)
+        self.model_name, self.strategy_id, self.threshold = model_name, strategy_id, threshold
+        self.id_table, self.id_codes = id_table, np.asarray(sample_ids, dtype=np.int32)
+        self.true_labels = np.asarray(true_labels, dtype=int)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        if not self.true_labels.shape == self.scores.shape == self.id_codes.shape:
+            raise ValueError("ids, labels and scores must align")
         if not np.all((self.true_labels == 0) | (self.true_labels == 1)):
             raise ValueError("labels must be binary 0/1")
         if not np.all(np.isfinite(self.scores)):
@@ -48,6 +53,10 @@ class PredictionSet:
             raise ValueError("scores must lie in [0, 1]")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
+
+    @property
+    def sample_ids(self):
+        return [self.id_table[c] for c in self.id_codes.tolist()]
 
 
 @dataclass

@@ -7,6 +7,7 @@ digits so values round-trip through parse -> serialize unchanged.
 
 import csv
 import math
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice
 
@@ -166,14 +167,15 @@ def _group_line(path, model, strategy, index):
 
 
 def _convert(path, pending):
-    """Append each pending group's block of label and score strings to its runs
-    as one pair of arrays; a bad value raises the message of its first row in the file."""
+    """Append each pending group's block of id codes and label and score strings
+    to its runs as arrays; a bad value raises the message of its first row in the file."""
     faults = []
-    for (model, strategy), (ids, runs, labels, scores) in pending.items():
+    for (model, strategy), (runs, codes, labels, scores) in pending.items():
         binary = set(labels) <= {"0", "1"}  # then read as bytes, with no int() per label
         try:
             as_int = np.frombuffer("".join(labels).encode("ascii"), np.uint8) - 48 if binary else labels
-            runs.append((np.array(as_int, dtype=int), np.array(scores, dtype=float)))
+            run = (np.array(codes, np.int32), np.array(as_int, dtype=int),
+                   np.array(scores, dtype=float))
         except (ValueError, OverflowError):
             for i, (label, score) in enumerate(zip(labels, scores)):
                 try:
@@ -181,24 +183,30 @@ def _convert(path, pending):
                         raise ValueError(f"label {label!r} is outside the int64 range")
                     float(score)
                 except ValueError as exc:
-                    line = _group_line(path, model, strategy, len(ids) - len(labels) + i)
+                    line = _group_line(path, model, strategy, sum(r[0].size for r in runs) + i)
                     faults.append((line, f"{path}:{line}: {exc}"))
                     break
             else:
                 raise
+        else:
+            runs.append(run)
     if faults:
         raise InputError(min(faults)[1])
 
 
-def read_predictions(path, threshold=0.5):
+def read_predictions(path, threshold=0.5, first_ids=()):
     """Parse predictions.csv into PredictionSets grouped by (model, strategy).
 
-    Groups may come in any order. Per row it keeps the interned sample_id and,
-    until each _BLOCK rows become arrays, the label and score strings. A
-    sample_id may appear once per (model, strategy) group; a repeat is
-    reported with the file and line where it recurs.
+    Groups may come in any order. Per row it keeps an int32 code for the
+    sample_id, the same in every group: code i is first_ids[i] for the
+    distinct `first_ids`, and each other id takes the next code where it
+    first appears. Until each _BLOCK rows become arrays it also keeps the
+    label and score strings. A sample_id may appear once per (model, strategy) group; a
+    repeat is reported with the file and line where it recurs.
     """
-    groups, interned = {}, {}  # (model, strategy) -> (ids, runs of arrays)
+    groups = {}  # (model, strategy) -> runs of (codes, labels, scores) arrays
+    # an id's code; a new id takes the next one, as a miss calls the factory before it inserts
+    codes = defaultdict(lambda: len(codes), zip(first_ids, range(len(first_ids))))
     with _reader(path, PREDICTIONS_HEADER) as reader:
         pending = True  # until a block reads no row
         while pending:
@@ -208,10 +216,10 @@ def read_predictions(path, threshold=0.5):
                     if model != cur_model or strategy != cur_strategy:
                         key = cur_model, cur_strategy = model, strategy
                         if key not in pending:
-                            pending[key] = groups.setdefault(key, ([], [])) + ([], [])
-                        ids, _, labels, scores = pending[key]
+                            pending[key] = (groups.setdefault(key, []), [], [], [])
+                        _, ids, labels, scores = pending[key]
                         add_id, add_label, add_score = ids.append, labels.append, scores.append
-                    add_id(interned.setdefault(sid, sid))
+                    add_id(codes[sid])
                     add_label(label)
                     add_score(score)
             except UnicodeDecodeError:  # a ValueError too; _reader maps it
@@ -221,22 +229,50 @@ def read_predictions(path, threshold=0.5):
             finally:
                 # also before an error propagates, so an earlier bad value wins
                 _convert(path, pending)
-    out = []
-    for (model, strategy), (ids, runs) in groups.items():
-        if len(set(ids)) != len(ids):
-            seen = set()
-            index = next(i for i, sid in enumerate(ids) if sid in seen or seen.add(sid))
+    table, out = list(codes), []
+    for (model, strategy), runs in groups.items():
+        ids, labels, scores = (r[0] if len(r) == 1 else np.concatenate(r) for r in zip(*runs))
+        runs.clear()
+        if np.bincount(ids).max() > 1:
+            order = np.argsort(ids, kind="stable")
+            index = order[1:][np.diff(ids[order]) == 0].min()  # the first row to repeat an id
             raise InputError(
                 f"{path}:{_group_line(path, model, strategy, index)}: sample_id "
-                f"{ids[index]!r} repeated in model {model!r}, strategy {strategy}"
+                f"{table[ids[index]]!r} repeated in model {model!r}, strategy {strategy}"
             )
-        labels, scores = (r[0] if len(r) == 1 else np.concatenate(r) for r in zip(*runs))
-        runs.clear()
         try:
-            out.append(PredictionSet(model, strategy, ids, labels, scores, threshold))
+            out.append(PredictionSet(model, strategy, ids, labels, scores, threshold, table))
         except ValueError as exc:
             raise InputError(f"{path}: model {model!r} in strategy {strategy}: {exc}") from exc
     return out
+
+
+def check_samples(path, ps, ref_codes, ref_labels, ref_name):
+    """Check that the group `ps`, read from `path`, carries exactly the ids
+    `ref_codes` (codes into ps.id_table) with the labels `ref_labels`.
+
+    Otherwise an InputError names the group and the first sample_id at fault:
+    a row whose id `ref_name` lacks or labels otherwise, with its line, or
+    else the first of `ref_codes` the group lacks. `ps` holds no repeats.
+    """
+    want = np.full(len(ps.id_table), -1)
+    want[ref_codes] = ref_labels
+    want = want[ps.id_codes]
+    group = f"model {ps.model_name!r} in strategy {ps.strategy_id}"
+    bad = np.flatnonzero(want != ps.true_labels)
+    if bad.size:
+        i = bad[0]
+        line = _group_line(path, ps.model_name, ps.strategy_id, i)
+        there = f"label {want[i]}" if want[i] >= 0 else "no row"
+        raise InputError(
+            f"{path}:{line}: {group}: sample_id {ps.id_table[ps.id_codes[i]]!r} has label "
+            f"{ps.true_labels[i]}, but {ref_name} has {there}"
+        )
+    if ps.id_codes.size != len(ref_codes):  # no row is foreign or repeated, so some id is missing
+        present = np.zeros(len(ps.id_table), dtype=bool)
+        present[ps.id_codes] = True
+        missing = ref_codes[~present[ref_codes]][0]
+        raise InputError(f"{path}: {group}: no row for sample_id {ps.id_table[missing]!r}")
 
 
 def write_criteria(path, criteria):

@@ -10,7 +10,7 @@ import pytest
 from scipy.io import wavfile
 
 from coughrank.audio import FEATURE_COLUMNS, extract_features, load_and_resample
-from coughrank import cli
+from coughrank import InputError, cli
 from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main, read_config
 from coughrank.metrics import METRIC_NAMES, PredictionSet
 from coughrank.tables import read_features, write_features, write_predictions
@@ -72,6 +72,13 @@ class TestReadConfig:
         path.write_text("just words\n")
         with pytest.raises(Exception):
             read_config(path)
+
+    def test_repeated_key_names_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("smote_k = 3\n# again\nsmote_k = 4\n")
+        with pytest.raises(InputError) as exc:
+            read_config(path)
+        assert str(exc.value) == f"{path}:3: repeated key 'smote_k'"
 
 
 class TestExtract:
@@ -354,7 +361,7 @@ class TestEvaluate:
         preds = tmp_path / "predictions.csv"
         preds.write_text(
             "model,strategy,sample_id,true_label,score\n"
-            "good,1,s0,0,0.2\ngood,1,s1,1,0.8\n"
+            "good,1,s0,1,0.2\ngood,1,s1,1,0.8\n"
             "flat,1,s0,1,0.2\nflat,1,s1,1,0.8\n"
         )
         code = main(["evaluate", str(preds), "--out", str(tmp_path / "o")])
@@ -405,6 +412,56 @@ class TestEvaluate:
         preds = tmp_path / "predictions.csv"
         make_external_csv(preds, [f"s{i}" for i in range(10)], np.array([0, 1] * 5), n_models=1)
         assert main(["evaluate", str(preds), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+    def test_single_model_names_file_and_strategy(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        make_external_csv(preds, [f"s{i}" for i in range(10)], np.array([0, 1] * 5), n_models=1)
+        assert main(["evaluate", str(preds), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {preds}: strategy 1: need at least 2 models, got 1" in err
+
+    def test_predictions_with_matrix_rejected(self, tmp_path, capsys):
+        preds = tmp_path / "absent.csv"
+        matrix = DATA_DIR / "decision_matrix_asymptomatic_strategy1.csv"
+        out = tmp_path / "out"
+        code = main(["evaluate", str(preds), "--matrix", str(matrix), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(preds) in err and str(matrix) in err
+        assert not (out / matrix.name).exists()
+
+    def test_header_only_predictions_names_file(self, tmp_path, capsys):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text("model,strategy,sample_id,true_label,score\n")
+        out = tmp_path / "out"
+        assert main(["evaluate", str(preds), "--out", str(out)]) == EXIT_INPUT
+        assert f"error: {preds}: no prediction rows" in capsys.readouterr().err
+        assert not (out / "criteria.csv").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b,2,s1,0,0.7\n", ":11: model 'b' in strategy 2: sample_id 's1' has label 0,"
+             " but model 'a' has label 1"),
+            ("b,2,s9,1,0.7\n", ":11: model 'b' in strategy 2: sample_id 's9' has label 1,"
+             " but model 'a' has no row"),
+            ("", ": model 'b' in strategy 2: no row for sample_id 's1'"),
+        ],
+        ids=["flipped", "foreign", "missing"],
+    )
+    def test_group_unlike_first_of_strategy_names_it(self, tmp_path, capsys, row, message):
+        # strategy 2's first group in model-name order is a's, though b's comes first
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(
+            "model,strategy,sample_id,true_label,score\n"
+            "a,1,s0,0,0.2\na,1,s1,1,0.8\nb,1,s0,0,0.3\nb,1,s1,1,0.7\n"
+            "b,2,s2,1,0.4\nb,2,s0,0,0.3\n"
+            "a,2,s0,0,0.2\na,2,s1,1,0.8\na,2,s2,1,0.6\n" + row
+        )
+        out = tmp_path / "out"
+        assert main(["evaluate", str(preds), "--out", str(out)]) == EXIT_INPUT
+        assert f"error: {preds}{message}\n" == capsys.readouterr().err
+        assert not (out / "criteria.csv").exists()
 
 
 class TestRank:
