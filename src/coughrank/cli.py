@@ -31,7 +31,7 @@ import numpy as np
 from . import InputError, __version__
 from .audio import extract_features, load_and_resample
 from .ensemble import RankError, rank
-from .learn import DEFAULT_SEED, OUTER_FOLDS, Dataset, StrategyConfig
+from .learn import DEFAULT_SEED, MODEL_GRIDS, OUTER_FOLDS, Dataset, StrategyConfig
 from .learn import rfecv, run_strategies, stratified_splits
 from .metrics import DEFAULT_CRITERIA, METRIC_NAMES, SWEEP_OBJECTIVES
 from .metrics import build_decision_matrix, evaluate
@@ -44,7 +44,7 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
-IN_REPO_MODELS = ("knn", "logreg")
+IN_REPO_MODELS = tuple(MODEL_GRIDS)
 STRATEGIES = (1, 2, 3)
 
 # pipeline --config keys, each with a test of its value and what it asks for
@@ -338,11 +338,13 @@ def _check_smote_k(ds, smote_k, seed, config_path):
 
 
 def _read_external(path, features_csv, ds):
-    """External prediction sets; none may take an in-repo model's place, each
-    must cover exactly the ids of features.csv with their labels there, and
-    each model must come in exactly strategies 1, 2 and 3."""
+    """External prediction sets, at least one; none may take an in-repo model's
+    place, each must cover exactly the ids of features.csv with their labels
+    there, and each model must come in exactly strategies 1, 2 and 3."""
     in_repo = {str(s) for s in STRATEGIES}
     prediction_sets = tables.read_predictions(path, first_ids=ds.sample_ids)
+    if not prediction_sets:
+        raise InputError(f"{path}: no prediction rows")
     ref_codes = np.arange(len(ds.sample_ids))  # code i is ds.sample_ids[i]
     for ps in prediction_sets:
         if ps.model_name in IN_REPO_MODELS and ps.strategy_id in in_repo:

@@ -128,39 +128,38 @@ class DecisionMatrix:
         return np.array([c.direction == COST for c in self.criteria])
 
 
-def confusion_counts(true_labels, scores, threshold):
-    """(TP, FP, TN, FN); predicted positive iff score >= threshold."""
-    if scores.size == 0:
-        raise ValueError("empty prediction set")
-    pred_pos = scores >= threshold
+def _tally(true_labels, scores):
+    """One score set counted from one sort: `levels`, its distinct scores
+    ascending; `pos_below` and `neg_below`, each class's count below each
+    level and, last, its total; and the ROC-AUC as the Mann-Whitney U, ties
+    counted 1/2 (Fawcett 2006), from 2U summed as an exact integer. Scores
+    must be finite, as PredictionSet enforces."""
+    levels, level_of = np.unique(scores, return_inverse=True)
     pos = true_labels == 1
-    tp = int(np.sum(pred_pos & pos))
-    fp = int(np.sum(pred_pos)) - tp
-    fn = int(np.sum(pos)) - tp
-    return tp, fp, scores.size - tp - fp - fn, fn
+    pos_at, neg_at = (np.bincount(level_of[m], minlength=levels.size) for m in (pos, ~pos))
+    pos_below, neg_below = (np.append(0, np.cumsum(at)) for at in (pos_at, neg_at))
+    n_pos, n_neg = int(pos_below[-1]), int(neg_below[-1])
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC requires both classes present")
+    twice_u = int(np.sum(pos_at * (neg_below[:-1] + neg_below[1:])))
+    return levels, pos_below, neg_below, twice_u / (2 * n_pos * n_neg)
 
 
 def rank_auc(true_labels, scores):
-    """ROC-AUC as the Mann-Whitney U, ties counted 1/2 (Fawcett 2006).
-
-    2U is summed as an exact integer from per-score class counts.
-    """
-    pos, neg = true_labels == 1, true_labels == 0
-    n_pos, n_neg = int(np.sum(pos)), int(np.sum(neg))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC requires both classes present")
-    levels, level_of = np.unique(scores, return_inverse=True)
-    pos_at = np.bincount(level_of[pos], minlength=levels.size)
-    neg_at = np.bincount(level_of[neg], minlength=levels.size)
-    neg_below = np.cumsum(neg_at) - neg_at
-    twice_u = int(np.sum(pos_at * (2 * neg_below + neg_at)))
-    return twice_u / (2 * n_pos * n_neg)
+    """ROC-AUC of one score set, read from its tally."""
+    return _tally(true_labels, scores)[3]
 
 
-def _criteria(tp, fp, tn, fn, auc):
-    """The eight criteria of TP, FP, TN, FN and AUC, given as numbers or as
-    arrays (one value per cutoff), by the same operations on exact counts;
-    and per ratio the mask of its 0/0 cells, which divide 0 by 1 and read 0."""
+def _criteria(tally, cutoffs):
+    """The eight criteria of a tally at `cutoffs`, a number or an array, by
+    the same operations on exact counts; and per ratio the mask of its 0/0
+    cells, which divide 0 by 1 and read 0. A score at or above its cutoff is
+    predicted positive, so each class's count below the level
+    `searchsorted(levels, cutoff)` is its predicted negatives."""
+    levels, pos_below, neg_below, auc = tally
+    below = np.searchsorted(levels, cutoffs, side="left")
+    fn, tn = pos_below[below], neg_below[below]
+    tp, fp = pos_below[-1] - fn, neg_below[-1] - tn
     degenerate = {}
 
     def ratio(name, num, den):
@@ -178,8 +177,7 @@ def _criteria(tp, fp, tn, fn, auc):
 
 def evaluate(preds):
     """Compute the eight-criterion EvaluationReport for one PredictionSet."""
-    counts = confusion_counts(preds.true_labels, preds.scores, preds.threshold)
-    values, degenerate = _criteria(*counts, rank_auc(preds.true_labels, preds.scores))
+    values, degenerate = _criteria(_tally(preds.true_labels, preds.scores), preds.threshold)
     return EvaluationReport(
         **{name: float(value) for name, value in values.items()},
         degenerate=[name for name, mask in degenerate.items() if mask],
@@ -197,18 +195,15 @@ def threshold_sweep(true_labels, scores, objective="f1"):
     SWEEP_OBJECTIVES.
 
     Ties break toward the cutoff nearest 0.5, then the smaller cutoff.
-    Each class's scores are sorted once, every cutoff's counts come from
-    one searchsorted, and one lexsort over the criteria picks the cutoff.
+    The score set's tally gives every cutoff's counts from one sort and one
+    searchsorted, and one lexsort over the criteria picks the cutoff.
+    Scores must be finite: PredictionSet checks them, and learn's are
+    fractions and sigmoids.
     """
     if objective not in SWEEP_OBJECTIVES:
         raise ValueError(f"objective must be one of {SWEEP_OBJECTIVES}, got {objective!r}")
     cutoffs = np.array(DEFAULT_THRESHOLD_GRID)
-    auc = np.full(cutoffs.shape, rank_auc(true_labels, scores))
-    pos = true_labels == 1
-    # score >= cutoff iff -score <= -cutoff; a NaN sorts last: never positive
-    tp, fp = (np.searchsorted(np.sort(-scores[m]), -cutoffs, side="right") for m in (pos, ~pos))
-    n_pos = int(np.sum(pos))
-    values, degenerate = _criteria(tp, fp, scores.size - n_pos - fp, n_pos - tp, auc)
+    values, degenerate = _criteria(_tally(true_labels, scores), cutoffs)
     undefined = degenerate.get(objective, np.zeros(cutoffs.size, dtype=bool))
     best = np.lexsort((cutoffs, np.abs(cutoffs - 0.5), -values[objective], undefined))[0]
     if undefined[best]:

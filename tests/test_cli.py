@@ -751,6 +751,17 @@ class TestPipeline:
         assert "labels must be binary 0/1" in err
         assert not (out / "predictions.csv").exists()
 
+    def test_header_only_external_rejected_before_training(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        make_features_csv(features, n_pos=10, n_neg=10)
+        external = tmp_path / "external.csv"
+        external.write_text("model,strategy,sample_id,true_label,score\n")
+        out = tmp_path / "out"
+        code = main(["pipeline", str(features), "--external", str(external), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert f"error: {external}: no prediction rows" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_repeated_external_sample_id_names_line(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
         ids, labels = make_features_csv(features, n_pos=10, n_neg=10)

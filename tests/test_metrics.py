@@ -9,7 +9,6 @@ from coughrank.metrics import (
     DecisionMatrix,
     PredictionSet,
     build_decision_matrix,
-    confusion_counts,
     evaluate,
     rank_auc,
     threshold_sweep,
@@ -28,9 +27,24 @@ def make_preds(labels, scores, threshold=0.5):
     )
 
 
+def confusion_counts(labels, scores, threshold):
+    """(TP, FP, TN, FN) that evaluate reports, read back from its recall and
+    specificity, with its accuracy and precision checked against them."""
+    labels = np.asarray(labels)
+    rep = evaluate(make_preds(labels, scores, threshold))
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    tp, tn = round(rep.recall * n_pos), round(rep.specificity * n_neg)
+    fp, fn = n_neg - tn, n_pos - tp
+    assert rep.acc == (tp + tn) / labels.size
+    assert rep.precision == (tp / (tp + fp) if tp + fp else 0.0)
+    return tp, fp, tn, fn
+
+
 class TestConfusionCounts:
     def test_all_positive_all_predicted(self):
-        assert confusion_counts(np.ones(5, dtype=int), np.ones(5), 0.5) == (5, 0, 0, 0)
+        labels = np.array([1, 1, 1, 1, 1, 0])
+        assert confusion_counts(labels, np.ones(6), 0.5) == (5, 1, 0, 0)
 
     def test_hand_counted(self):
         labels = np.array([1, 1, 0, 0])
@@ -46,7 +60,11 @@ class TestConfusionCounts:
     def test_counts_partition(self):
         rng = np.random.default_rng(0)
         labels, scores = rng.integers(0, 2, 50), rng.uniform(0, 1, 50)
-        assert sum(confusion_counts(labels, scores, 0.5)) == 50
+        counts = confusion_counts(labels, scores, 0.5)
+        assert sum(counts) == 50
+        pred, pos = scores >= 0.5, labels == 1
+        masks = (pred & pos, pred & ~pos, ~pred & ~pos, ~pred & pos)
+        assert counts == tuple(int(np.sum(m)) for m in masks)
 
 
 class TestEvaluate:

@@ -1,13 +1,16 @@
-"""The one scoring path in `metrics` against the three paths it replaced.
+"""The one scoring path in `metrics` against the paths it replaced.
 
 `rankdata_auc` is the former `rank_auc` (average ranks from
 `scipy.stats.rankdata`), `mask_counts` the former `confusion_counts`
-(four mask sums over a PredictionSet), `rebuilt_evaluate` the former
+(four mask sums at one cutoff), `rebuilt_evaluate` the former
 `evaluate`, `rebuilt_sweep` the first `threshold_sweep`, which built
 and scored a new PredictionSet at every cutoff, and `loop_sweep` the
 second, which counted and scored each cutoff in a Python loop. The new
-path, one sort per class and one lexsort, must give the same AUC,
-reports and cutoffs, bit for bit, and raise where they raise.
+path counts each score set once: one sort into its distinct scores, the
+positives and negatives at each, and the AUC from those; one
+searchsorted then gives the counts at any cutoffs, and one lexsort picks
+the sweep's. It must give the same AUC, reports and cutoffs, bit for
+bit, and raise where they raise.
 """
 
 import numpy as np
@@ -22,7 +25,6 @@ from coughrank.metrics import (
     EvaluationReport,
     PredictionSet,
     SWEEP_OBJECTIVES,
-    confusion_counts,
     evaluate,
     rank_auc,
     threshold_sweep,
@@ -41,11 +43,11 @@ def rankdata_auc(true_labels, scores):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def mask_counts(preds):
-    if preds.scores.size == 0:
+def mask_counts(true_labels, scores, threshold):
+    if scores.size == 0:
         raise ValueError("empty prediction set")
-    pred_pos = preds.scores >= preds.threshold
-    pos = preds.true_labels == 1
+    pred_pos = scores >= threshold
+    pos = true_labels == 1
     tp = int(np.sum(pred_pos & pos))
     fp = int(np.sum(pred_pos & ~pos))
     tn = int(np.sum(~pred_pos & ~pos))
@@ -82,7 +84,8 @@ def scalar_report(counts, auc):
 
 
 def rebuilt_evaluate(preds):
-    return scalar_report(mask_counts(preds), rankdata_auc(preds.true_labels, preds.scores))
+    counts = mask_counts(preds.true_labels, preds.scores, preds.threshold)
+    return scalar_report(counts, rankdata_auc(preds.true_labels, preds.scores))
 
 
 def rebuilt_sweep(preds, objective):
@@ -111,7 +114,7 @@ def loop_sweep(true_labels, scores, objective):
     auc = rank_auc(true_labels, scores)
     best = None
     for cutoff in DEFAULT_THRESHOLD_GRID:
-        report = scalar_report(confusion_counts(true_labels, scores, cutoff), auc)
+        report = scalar_report(mask_counts(true_labels, scores, cutoff), auc)
         if objective in report.degenerate:
             continue
         key = (-getattr(report, objective), abs(cutoff - 0.5), cutoff)
@@ -162,6 +165,17 @@ CASES = scoring_cases()
 CASE_IDS = [case[0] for case in CASES]
 
 
+def boundary_thresholds(scores):
+    """Off-grid cutoffs, and the distinct scores inside (0, 1), every
+    (n // 5)-th of n, each with its neighbours one ulp below and above: at
+    those only `score >= threshold` decides whether a score is positive."""
+    inner = np.unique(scores[(scores > 0) & (scores < 1)])
+    thresholds = [1 / 3, 0.123456789, 0.5 + 2.0**-40, np.nextafter(0.5, 0)]
+    for score in inner[:: max(1, inner.size // 5)]:
+        thresholds += [np.nextafter(score, 0), score, np.nextafter(score, 1)]
+    return [float(t) for t in thresholds]
+
+
 def bits(report):
     return [float(v).hex() for v in report.as_dict().values()], report.degenerate
 
@@ -178,9 +192,16 @@ def test_rank_auc_matches_rankdata(name, labels, scores):
 
 @pytest.mark.parametrize("name, labels, scores", CASES, ids=CASE_IDS)
 def test_evaluate_matches_rebuilt(name, labels, scores):
-    for threshold in (0.01, 0.3, 0.5, 0.99):
+    for threshold in (0.01, 0.3, 0.5, 0.99, *boundary_thresholds(scores)):
         preds = make_preds(labels, scores, threshold)
-        assert bits(evaluate(preds)) == bits(rebuilt_evaluate(preds))
+        assert bits(evaluate(preds)) == bits(rebuilt_evaluate(preds)), threshold.hex()
+
+
+def test_boundary_cases_put_a_threshold_on_a_score():
+    on_score = [
+        t for _, _, scores in CASES for t in boundary_thresholds(scores) if np.any(scores == t)
+    ]
+    assert len(on_score) >= 50
 
 
 @pytest.mark.parametrize("objective", METRIC_NAMES)
@@ -213,6 +234,12 @@ def test_seeded_random_sets_match():
         assert rank_auc(labels, scores).hex() == rankdata_auc(labels, scores).hex()
         preds = make_preds(labels, scores, float(rng.choice(DEFAULT_THRESHOLD_GRID)))
         assert bits(evaluate(preds)) == bits(rebuilt_evaluate(preds))
+        inner = scores[(scores > 0) & (scores < 1)]
+        if inner.size:
+            score = float(rng.choice(inner))
+            for threshold in (np.nextafter(score, 0), score, np.nextafter(score, 1)):
+                preds = make_preds(labels, scores, float(threshold))
+                assert bits(evaluate(preds)) == bits(rebuilt_evaluate(preds))
         if trial % 10 == 0:
             assert threshold_sweep(preds.true_labels, preds.scores) == rebuilt_sweep(preds, "f1")
 
