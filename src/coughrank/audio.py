@@ -104,7 +104,8 @@ def load_and_resample(path):
     Supports 8/16/24-bit integer and 32-bit float encodings, 1-2
     channels, scaled to [-1, 1] by the file's encoding. Stereo is
     averaged to mono; resampling is polyphase windowed-sinc
-    interpolation; the result is clipped to [-1, 1] at every rate. A
+    interpolation with scipy's default filter, designed once per rate
+    ratio; the result is clipped to [-1, 1] at every rate. A
     file that cannot be opened raises its OSError; one that breaks these
     rules raises InputError, whose message leaves the path to the caller.
     """
@@ -148,12 +149,25 @@ def load_and_resample(path):
     if rate != DEFAULT_SAMPLE_RATE:
         import scipy.signal
 
-        ratio = Fraction(DEFAULT_SAMPLE_RATE, int(rate))
+        up, down = Fraction(DEFAULT_SAMPLE_RATE, int(rate)).as_integer_ratio()
         samples = scipy.signal.resample_poly(
-            samples, ratio.numerator, ratio.denominator
+            samples, up, down, window=_resample_taps(up, down)
         )
     samples = np.clip(samples, -1.0, 1.0)
     return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
+
+
+@functools.lru_cache
+def _resample_taps(up, down):
+    """The low-pass filter resample_poly designs by default for up/down
+    (Kaiser-windowed sinc, beta 5.0), built once per ratio, read-only;
+    resample_poly copies an array window before scaling it."""
+    import scipy.signal
+
+    max_rate = max(up, down)
+    taps = scipy.signal.firwin(2 * 10 * max_rate + 1, 1 / max_rate, window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
 
 
 def _frame_signal(clip, cfg):
@@ -283,29 +297,38 @@ def band_contrast(band_magnitudes, alpha):
     bottom ceil(alpha*N); both are floored before the log.
     """
     band_magnitudes = np.atleast_2d(np.asarray(band_magnitudes, dtype=np.float64))
-    n = band_magnitudes.shape[1]
-    top = max(1, math.ceil(alpha * n))
-    ordered = np.sort(band_magnitudes, axis=1)[:, ::-1]
-    peak = np.log(np.maximum(ordered[:, :top].mean(axis=1), LOG_FLOOR))
-    valley = np.log(np.maximum(ordered[:, -top:].mean(axis=1), LOG_FLOOR))
-    return peak - valley
+    return _sorted_contrast(np.sort(band_magnitudes, axis=1), alpha)
+
+
+def _sorted_contrast(ascending, alpha, of_power=False):
+    """band_contrast of rows sorted ascending, or of their roots if they are power.
+    Each mean adds its columns one after another, from the largest value down,
+    so the bits do not depend on the memory layout of the band."""
+    top = max(1, math.ceil(alpha * ascending.shape[1]))
+    logs = []
+    for tail in (ascending[:, : -top - 1 : -1], ascending[:, top - 1 :: -1]):
+        tail = np.sqrt(tail) if of_power else tail
+        acc = tail[:, 0].copy()
+        for j in range(1, top):
+            acc += tail[:, j]
+        logs.append(np.log(np.maximum(acc / top, LOG_FLOOR)))
+    return logs[0] - logs[1]
 
 
 def _spectral_contrast(power, n_fft, sample_rate):
     """Frame-mean peak-valley log contrast of a power spectrogram in
-    N_CONTRAST_BANDS + 1 bands: below 200 Hz, then octaves up to Nyquist."""
+    N_CONTRAST_BANDS + 1 bands: below 200 Hz, then octaves up to Nyquist.
+    Each band is a contiguous run of bins; its power is sorted and only the
+    kept tails are rooted (sqrt is monotone and correctly rounded)."""
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     edges = _contrast_band_edges(sample_rate, N_CONTRAST_BANDS)
+    bounds = np.append(np.searchsorted(bin_freqs, edges[:-1]), bin_freqs.size)
     out = np.zeros((power.shape[0], N_CONTRAST_BANDS + 1))
-    for k in range(N_CONTRAST_BANDS + 1):
-        if k < N_CONTRAST_BANDS:
-            sel = (bin_freqs >= edges[k]) & (bin_freqs < edges[k + 1])
-        else:
-            sel = bin_freqs >= edges[k]
-        if not np.any(sel):
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
             raise ValueError(f"contrast band {k} contains no FFT bins")
-        band = power[:, sel]  # a copy, made magnitude in place
-        out[:, k] = band_contrast(np.sqrt(band, out=band), CONTRAST_ALPHA)
+        band = np.sort(power[:, lo:hi], axis=1)
+        out[:, k] = _sorted_contrast(band, CONTRAST_ALPHA, of_power=True)
     return out.mean(axis=0)
 
 

@@ -123,7 +123,7 @@ def write_features(path, rows):
         if vec.size != len(FEATURE_COLUMNS):
             raise ValueError(f"{sample_id}: expected {len(FEATURE_COLUMNS)} features")
         out.append(
-            [sample_id, "" if label is None else int(label)] + [fmt(v) for v in vec]
+            [sample_id, "" if label is None else int(label)] + [fmt(v) for v in vec.tolist()]
         )
     _write_rows(path, FEATURES_HEADER, out)
 

@@ -1,10 +1,13 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+import scipy.signal
 
+from coughrank import audio
 from coughrank.audio import (
     AudioClip,
     DEFAULT_SAMPLE_RATE,
@@ -86,6 +89,24 @@ class TestLoadAndResample:
         np.testing.assert_array_equal(
             extract_features(loud).concat(), extract_features(quiet).concat()
         )
+
+    # the four benchmark ratios, 441/160, 441/320, 147/320 and 1/2, and a prime rate
+    @pytest.mark.parametrize("rate", [8000, 16000, 48000, 44100, 7919])
+    def test_cached_taps_give_resample_polys_default_bits(self, rate):
+        # a change to scipy's default filter design fails here
+        up, down = Fraction(DEFAULT_SAMPLE_RATE, rate).as_integer_ratio()
+        x = np.random.default_rng(rate).uniform(-1, 1, 3000)
+        taps = audio._resample_taps(up, down)
+        got = scipy.signal.resample_poly(x, up, down, window=taps)
+        assert got.tobytes() == scipy.signal.resample_poly(x, up, down).tobytes()
+        assert not taps.flags.writeable
+        assert audio._resample_taps(up, down) is taps
+
+    def test_resampled_wav_has_resample_polys_default_bits(self, tmp_path):
+        x = np.random.default_rng(4).uniform(-0.9, 0.9, 4800).astype(np.float32)
+        clip = load_and_resample(self.write_wav(tmp_path / "r.wav", 48000, x))
+        want = np.clip(scipy.signal.resample_poly(x.astype(np.float64), 147, 320), -1.0, 1.0)
+        assert clip.samples.tobytes() == want.tobytes()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -329,6 +350,18 @@ class TestSpectralContrast:
         # ceil(0.1 * 4) = 1 element on each side
         sc = band_contrast(np.array([[8.0, 4.0, 2.0, 1.0]]), 0.1)
         assert sc[0] == pytest.approx(math.log(8.0) - math.log(1.0), abs=1e-12)
+
+    def test_band_contrast_bits_do_not_depend_on_layout(self):
+        # 430 bins keep ceil(0.02 * 430) = 9 per side, where numpy's pairwise
+        # sum over a contiguous row differs from a column-by-column one
+        m = np.random.default_rng(3).uniform(0.0, 1.0, (20, 430)) ** 3
+        layouts = [
+            np.ascontiguousarray(m),
+            np.asfortranarray(m),
+            np.ascontiguousarray(m[:, ::-1])[:, ::-1],
+        ]
+        got = [band_contrast(band, 0.02).tobytes() for band in layouts]
+        assert got[0] == got[1] == got[2]
 
     def test_nonnegative_on_random_clips(self):
         for seed in range(10):

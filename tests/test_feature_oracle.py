@@ -2,8 +2,9 @@
 
 The oracle below is the earlier `extract_features`: every feature family
 ran its own STFT (five per clip), framing gathered the frames by fancy
-indexing and the mel filterbank and chroma bin map were rebuilt on every
-call. The current extractor must give the same bits.
+indexing, the mel filterbank and chroma bin map were rebuilt on every
+call, and each contrast band was a boolean gather of magnitudes, sorted
+and averaged by numpy's mean. The current extractor must give the same bits.
 """
 
 import math
@@ -23,7 +24,6 @@ from coughrank.audio import (
     FeatureVector,
     StftConfig,
     _contrast_band_edges,
-    band_contrast,
     chroma_to_tonnetz,
     extract_features,
     mel_filterbank,
@@ -87,6 +87,16 @@ def _oracle_chromagram(clip, cfg=None):
     return _oracle_chroma_frames(clip, cfg).mean(axis=0)
 
 
+def _oracle_band_contrast(band_magnitudes, alpha):
+    band_magnitudes = np.atleast_2d(np.asarray(band_magnitudes, dtype=np.float64))
+    n = band_magnitudes.shape[1]
+    top = max(1, math.ceil(alpha * n))
+    ordered = np.sort(band_magnitudes, axis=1)[:, ::-1]
+    peak = np.log(np.maximum(ordered[:, :top].mean(axis=1), LOG_FLOOR))
+    valley = np.log(np.maximum(ordered[:, -top:].mean(axis=1), LOG_FLOOR))
+    return peak - valley
+
+
 def _oracle_spectral_contrast(clip, cfg=None, n_bands=N_CONTRAST_BANDS, alpha=0.02):
     if not (0.02 <= alpha <= 0.2):
         raise ValueError("alpha must lie in [0.02, 0.2]")
@@ -102,7 +112,7 @@ def _oracle_spectral_contrast(clip, cfg=None, n_bands=N_CONTRAST_BANDS, alpha=0.
             sel = bin_freqs >= edges[k]
         if not np.any(sel):
             raise ValueError(f"contrast band {k} contains no FFT bins")
-        out[:, k] = band_contrast(mag[:, sel], alpha)
+        out[:, k] = _oracle_band_contrast(mag[:, sel], alpha)
     return out.mean(axis=0)
 
 
@@ -134,10 +144,21 @@ def assert_same_bits(clip, cfg=None):
     assert np.array_equal(got.concat(), want.concat())
 
 
-@pytest.mark.parametrize("rate", [8000, 22050, 44100])
+# the five benchmark rates, and 11025 Hz, whose top contrast band is the Nyquist bin alone
+@pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 44100, 48000])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_seeded_noise_matches_oracle(rate, seed):
     assert_same_bits(_noise(int(0.37 * rate), rate, seed))
+
+
+def test_empty_contrast_band_raises_as_the_oracle_does():
+    # at 400 Hz the Nyquist edge is 200 Hz, so band 1 (200-400 Hz) is empty
+    clip = _noise(4000, 400, 0)
+    message = "contrast band 1 contains no FFT bins"
+    with pytest.raises(ValueError, match=message):
+        extract_features(clip)
+    with pytest.raises(ValueError, match=message):
+        oracle_extract_features(clip)
 
 
 @pytest.mark.parametrize("length", [1, 2047, 2048, 2049, 512], ids=lambda n: f"n{n}")
