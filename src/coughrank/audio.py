@@ -141,10 +141,10 @@ def load_and_resample(path):
         samples = data.astype(np.float64) / 2147483648.0
     elif encoding in (np.float32, np.float64):
         samples = data.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise InputError("samples must be finite")
     else:
         raise InputError(f"unsupported WAV encoding {encoding}")
-    if not np.all(np.isfinite(samples)):
-        raise InputError("samples must be finite")
 
     if rate != DEFAULT_SAMPLE_RATE:
         import scipy.signal
@@ -153,7 +153,7 @@ def load_and_resample(path):
         samples = scipy.signal.resample_poly(
             samples, up, down, window=_resample_taps(up, down)
         )
-    samples = np.clip(samples, -1.0, 1.0)
+    np.clip(samples, -1.0, 1.0, out=samples)  # a private float64 buffer here
     return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
 
 

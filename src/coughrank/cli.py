@@ -1,7 +1,7 @@
 """Command-line orchestration of the extraction/evaluation/ranking pipeline.
 
 Subcommands: extract | evaluate | rank | pipeline | rfecv. All runs are
-deterministic: identical inputs, config and seed produce byte-identical
+deterministic: identical inputs, options and seed produce byte-identical
 outputs.
 
 Exit codes: 0 success, 1 a defect (any exception but those of 2), 2 an InputError
@@ -46,43 +46,6 @@ EXIT_DEGENERATE = 3
 
 IN_REPO_MODELS = tuple(MODEL_GRIDS)
 STRATEGIES = (1, 2, 3)
-
-# pipeline --config keys, each with a test of its value and what it asks for
-PIPELINE_CONFIG = {
-    "smote_k": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "threshold_objective": (lambda v: v in SWEEP_OBJECTIVES, f"one of {SWEEP_OBJECTIVES}"),
-}
-
-
-def read_config(path):
-    """Flat `key = value` pipeline config checked against PIPELINE_CONFIG."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    config = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            value = json.loads(value)
-        except (json.JSONDecodeError, RecursionError):
-            pass
-        if key not in PIPELINE_CONFIG:
-            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in config:
-            raise InputError(f"{path}:{lineno}: repeated key {key!r}")
-        check, wanted = PIPELINE_CONFIG[key]
-        if not check(value):
-            raise InputError(f"{path}:{lineno}: {key} must be {wanted}")
-        config[key] = value
-    return config
-
 
 def _int_in(low, high=None):
     """argparse type: a decimal integer in low .. high (no upper bound if None)."""
@@ -225,10 +188,8 @@ def _write_matrices(out_dir, sourced_sets, criteria):
 
 
 def cmd_evaluate(args):
-    if not args.predictions and not args.matrix:
-        raise InputError("evaluate: a predictions file or --matrix is required")
-    if args.predictions and args.matrix:
-        raise InputError(f"evaluate: give {args.predictions} or --matrix {args.matrix}, not both")
+    if not 0.0 < args.threshold < 1.0:
+        raise InputError("--threshold must lie in (0, 1)")
     out_dir = _OutDir(args.out)
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
@@ -239,8 +200,6 @@ def cmd_evaluate(args):
         tables.write_decision_matrix(out_dir / Path(args.matrix).name, dm)
         tables.write_criteria(out_dir / "criteria.csv", criteria)
         return EXIT_OK
-    if not 0.0 < args.threshold < 1.0:
-        raise InputError("--threshold must lie in (0, 1)")
     if unknown := [c.name for c in criteria if c.name not in METRIC_NAMES]:
         raise InputError(f"{args.criteria}: {unknown[0]!r} is not one of {METRIC_NAMES}")
     prediction_sets = tables.read_predictions(args.predictions, threshold=args.threshold)
@@ -324,7 +283,7 @@ def _load_dataset(features_csv, folds):
     return Dataset(features=matrix, labels=labels, sample_ids=ids)
 
 
-def _check_smote_k(ds, smote_k, seed, config_path):
+def _check_smote_k(ds, smote_k, seed, features_csv):
     """SMOTE needs more than smote_k minority rows in each imbalanced outer
     training fold of run_strategies (as the default 5 always has here)."""
     splits = stratified_splits(ds.labels, OUTER_FOLDS, seed)
@@ -332,7 +291,7 @@ def _check_smote_k(ds, smote_k, seed, config_path):
     count, cls = min([(c.min(), c.argmin()) for c in folds if c[0] != c[1]], default=(np.inf, 0))
     if count <= smote_k:
         raise InputError(
-            f"{config_path}: smote_k = {smote_k} needs more than {smote_k} minority "
+            f"{features_csv}: --smote-k {smote_k} needs more than {smote_k} minority "
             f"rows per training fold; class {cls} has {count} in its smallest"
         )
 
@@ -366,12 +325,8 @@ def _read_external(path, features_csv, ds):
 
 def cmd_pipeline(args):
     out_dir = _OutDir(args.out)
-    config = read_config(args.config) if args.config else {}
-    smote_k = config.get("smote_k", 5)
-    objective = config.get("threshold_objective", "f1")
     ds = _load_dataset(args.features, OUTER_FOLDS)
-    if "smote_k" in config:
-        _check_smote_k(ds, smote_k, args.seed, args.config)
+    _check_smote_k(ds, args.smote_k, args.seed, args.features)
     external = _read_external(args.external, args.features, ds) if args.external else []
     cells = [
         (model, StrategyConfig.standard(strategy_id))
@@ -381,7 +336,9 @@ def cmd_pipeline(args):
     log.info("training %d (strategy, model) cells", len(cells))
     try:
         with _cpu_pool() as pool:
-            prediction_sets = run_strategies(ds, cells, args.seed, smote_k, objective, pool.map)
+            prediction_sets = run_strategies(
+                ds, cells, args.seed, args.smote_k, args.threshold_objective, pool.map
+            )
     except InputError as exc:  # the objective is undefined on these data
         raise InputError(f"{args.features}: {exc}") from exc
     tables.write_predictions(out_dir / "predictions.csv", prediction_sets)
@@ -389,8 +346,8 @@ def cmd_pipeline(args):
     sourced += [(args.external, ps) for ps in external]
     matrices, degenerate = _write_matrices(out_dir, sourced, list(DEFAULT_CRITERIA))
     sources = {s: f"strategy {s}" for s in matrices}
-    inputs = [p for p in (args.features, args.external, args.config) if p]
-    config = {"smote_k": smote_k, "threshold_objective": objective}
+    inputs = [p for p in (args.features, args.external) if p]
+    config = {"smote_k": args.smote_k, "threshold_objective": args.threshold_objective}
     return _rank_and_report(out_dir, matrices, sources, config, inputs, args.seed, degenerate)
 
 
@@ -422,8 +379,9 @@ def build_parser():
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="build decision matrices from predictions")
-    p.add_argument("predictions", nargs="?", help="predictions.csv")
-    p.add_argument("--matrix", help="validate an existing decision_matrix.csv instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("predictions", nargs="?", help="predictions.csv")
+    source.add_argument("--matrix", help="validate an existing decision_matrix.csv instead")
     p.add_argument("--criteria", help="criteria.csv (default: the standard 8)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output directory")
@@ -439,7 +397,13 @@ def build_parser():
     p.add_argument("features", help="features.csv with labels")
     p.add_argument("--external", help="predictions.csv for out-of-repo models")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config")
+    p.add_argument("--smote-k", type=_int_in(1), default=5, help="SMOTE neighbours")
+    p.add_argument(
+        "--threshold-objective",
+        choices=SWEEP_OBJECTIVES,
+        default="f1",
+        help="metric each fold's decision threshold maximises",
+    )
     p.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_pipeline)
 

@@ -10,8 +10,8 @@ import pytest
 from scipy.io import wavfile
 
 from coughrank.audio import FEATURE_COLUMNS, extract_features, load_and_resample
-from coughrank import InputError, cli
-from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main, read_config
+from coughrank import cli
+from coughrank.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from coughrank.metrics import METRIC_NAMES, PredictionSet
 from coughrank.tables import read_features, write_features, write_predictions
 
@@ -59,26 +59,6 @@ def make_external_csv(path, sample_ids, labels, n_models=8, seed=1):
                 )
             )
     write_predictions(path, sets)
-
-
-class TestReadConfig:
-    def test_parses_values_and_comments(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment\nthreshold_objective = recall\nsmote_k = 3\n")
-        assert read_config(path) == {"threshold_objective": "recall", "smote_k": 3}
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("just words\n")
-        with pytest.raises(Exception):
-            read_config(path)
-
-    def test_repeated_key_names_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("smote_k = 3\n# again\nsmote_k = 4\n")
-        with pytest.raises(InputError) as exc:
-            read_config(path)
-        assert str(exc.value) == f"{path}:3: repeated key 'smote_k'"
 
 
 class TestExtract:
@@ -335,8 +315,13 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert (out / src.name).read_bytes() == src.read_bytes()
 
-    def test_missing_inputs_rejected(self, tmp_path):
-        assert main(["evaluate", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    def test_missing_inputs_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT
+        assert "one of the arguments predictions --matrix is required" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "body, message",
@@ -393,6 +378,7 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--threshold must lie in (0, 1)" in err
         assert "model" not in err and str(preds) not in err
+        assert not (tmp_path / "o").exists()
 
     def test_label_outside_int64_names_line(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
@@ -424,11 +410,12 @@ class TestEvaluate:
         preds = tmp_path / "absent.csv"
         matrix = DATA_DIR / "decision_matrix_asymptomatic_strategy1.csv"
         out = tmp_path / "out"
-        code = main(["evaluate", str(preds), "--matrix", str(matrix), "--out", str(out)])
-        assert code == EXIT_INPUT
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(preds), "--matrix", str(matrix), "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert str(preds) in err and str(matrix) in err
-        assert not (out / matrix.name).exists()
+        assert "argument --matrix: not allowed with argument predictions" in err
+        assert not out.exists()
 
     def test_header_only_predictions_names_file(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
@@ -594,6 +581,9 @@ def test_decision_matrix_fault_names_file(tmp_path, capsys, command, rows, where
         ["rank", "m.csv", "--out", "o", "--tie-eps", "0.1"],
         ["pipeline", "f.csv", "--out", "o", "--tie-eps", "0.1"],
         ["rfecv", "f.csv", "--out", "c.csv", "--config", "run.cfg"],
+        ["pipeline", "f.csv", "--out", "o", "--config", "run.cfg"],
+        ["evaluate", "p.csv", "--out", "o", "--smote-k", "3"],
+        ["rfecv", "f.csv", "--out", "c.csv", "--smote-k", "3"],
         ["extract", "wavs", "--out", "f.csv", "--rate", "16000"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
@@ -697,23 +687,19 @@ class TestPipeline:
         assert not (out / "predictions.csv").exists()
 
     @pytest.mark.parametrize(
-        "body, bad_line",
+        "flag, value, message",
         [
-            ("threshold_objective = acc\nsmote-k = 3\n", 2),
-            ("threshold_objective = auroc\n", 1),
-            ("seed = 7\n", 1),
-            ("threshold_objective = f1\nsmote_k = x\n", 2),
-            ("smote_k = 0\n", 1),
-            ("smote_k = true\n", 1),
-            ("smote_k = 2.5\n", 1),
-            ("smote_k = 3\nthreshold_objective = fpr\n", 2),
-            ("threshold_objective = fnr\n", 1),
-            ("threshold_objective = auc\n", 1),
+            ("--threshold-objective", "auroc", "invalid choice: 'auroc'"),
+            ("--smote-k", "x", "must be an integer >= 1, got 'x'"),
+            ("--smote-k", "0", "must be an integer >= 1, got '0'"),
+            ("--smote-k", "true", "must be an integer >= 1, got 'true'"),
+            ("--smote-k", "2.5", "must be an integer >= 1, got '2.5'"),
+            ("--threshold-objective", "fpr", "invalid choice: 'fpr'"),
+            ("--threshold-objective", "fnr", "invalid choice: 'fnr'"),
+            ("--threshold-objective", "auc", "invalid choice: 'auc'"),
         ],
         ids=[
-            "unknown_key",
             "unknown_objective",
-            "seed_key",
             "smote_k_word",
             "smote_k_zero",
             "smote_k_bool",
@@ -724,17 +710,41 @@ class TestPipeline:
         ],
     )
     def test_bad_config_rejected_before_training(
-        self, tmp_path, capsys, body, bad_line
+        self, tmp_path, capsys, monkeypatch, flag, value, message
     ):
-        features = tmp_path / "features.csv"
-        make_features_csv(features, n_pos=10, n_neg=10)
-        config = tmp_path / "run.cfg"
-        config.write_text(body)
+        def no_reading(*args, **kwargs):
+            pytest.fail("features read")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_reading)
         out = tmp_path / "out"
-        code = main(["pipeline", str(features), "--config", str(config), "--out", str(out)])
-        assert code == EXIT_INPUT
-        assert f"{config}:{bad_line}:" in capsys.readouterr().err
-        assert not (out / "predictions.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", str(tmp_path / "features.csv"), flag, value, "--out", str(out)])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_settings_reach_training_and_manifest(self, tmp_path, monkeypatch):
+        features = tmp_path / "features.csv"
+        ids, labels = make_features_csv(features, n_pos=12, n_neg=20)
+        external = tmp_path / "external.csv"
+        make_external_csv(external, ids, labels, n_models=2)
+        calls, training = [], cli.run_strategies
+
+        def spy(ds, cells, seed, smote_k, objective, map):
+            calls.append((smote_k, objective))
+            return training(ds, cells, seed, smote_k, objective, map)
+
+        monkeypatch.setattr(cli, "run_strategies", spy)
+        out = tmp_path / "out"
+        argv = ["pipeline", str(features), "--external", str(external), "--out", str(out)]
+        assert main([*argv, "--smote-k", "3", "--threshold-objective", "recall"]) in (
+            EXIT_OK,
+            EXIT_DEGENERATE,
+        )
+        assert calls == [(3, "recall")]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"] == {"smote_k": 3, "threshold_objective": "recall"}
+        assert set(manifest["input_digests"]) == {str(features), str(external)}
 
     def test_non_binary_external_label_names_file_and_group(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
@@ -1029,21 +1039,19 @@ def test_smote_k_checked_against_training_folds(
     # 12 positives over 10 folds leave 10 or 11 in each training fold
     features = tmp_path / "features.csv"
     make_features_csv(features, n_pos=12, n_neg=20)
-    config = tmp_path / "run.cfg"
-    config.write_text(f"smote_k = {smote_k}\n")
 
     def training(*args, **kwargs):
         raise cli.InputError("training started")
 
     monkeypatch.setattr(cli, "run_strategies", training)
     out = tmp_path / "out"
-    code = main(["pipeline", str(features), "--config", str(config), "--out", str(out)])
+    code = main(["pipeline", str(features), "--smote-k", str(smote_k), "--out", str(out)])
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert ("training started" in err) == trains
     if not trains:
         assert (
-            f"{config}: smote_k = 10 needs more than 10 minority rows per "
+            f"{features}: --smote-k 10 needs more than 10 minority rows per "
             "training fold; class 1 has 10 in its smallest"
         ) in err
 

@@ -1,10 +1,11 @@
 """Exit codes: bad input ends in exit 2, a defect in exit 1.
 
 `cli.main` maps `InputError` and `OSError` to exit 2 and any other
-exception to exit 1. Hypothesis writes input files near their formats
-(fields that parse, fields that nearly do, arbitrary text, a corrupted
-byte) and checks that the only outcomes are 0, 2 and 3, and that nothing
-the run prints or logs holds a traceback. Then come one defect, which must
+exception to exit 1; argparse exits 2 on a bad option. Hypothesis writes
+input files near their formats (fields that parse, fields that nearly do,
+arbitrary text, a corrupted byte) and option values near theirs, and
+checks that the only outcomes are 0, 2 and 3, and that nothing the run
+prints or logs holds a traceback. Then come one defect, which must
 end in exit 1, and inputs that used to end there or to name no file.
 """
 
@@ -37,6 +38,8 @@ def run(argv):
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
+    except SystemExit as exc:  # argparse rejects an option
+        code = exc.code
     finally:
         logger.removeHandler(handler)
     return code, err.getvalue()
@@ -121,19 +124,6 @@ LABELS = csv_bytes(
 )
 
 
-@st.composite
-def config_bytes(draw):
-    """A `key = value` config near the format, half the time with corrupted bytes."""
-    key = st.sampled_from(["smote_k", "threshold_objective", "seed", "smote-k", "# note", ""])
-    value = st.sampled_from(
-        ["3", "0", "1.5", '"7"', "f1", '"f1"', "auc", "fpr", "[1]", "{}", "null", "1e999", ""]
-    )
-    sep = st.sampled_from([" = ", "=", " ", ": "])
-    line = st.one_of(st.tuples(key, sep, value).map("".join), st.text(max_size=8))
-    text = "\n".join(draw(st.lists(line, max_size=4)))
-    return corrupted(text.encode(), draw(EDITS)) if draw(st.booleans()) else text.encode()
-
-
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """Files the fuzzed runs share: one short WAV, and a features.csv too
@@ -172,12 +162,19 @@ def test_extract_labels(work, data):
     assert_not_a_defect(argv)
 
 
-@given(data=config_bytes())
+# option text near an integer or a metric name: non-ASCII digits, signs,
+# floats, JSON literals, empty text
+OPTION_TEXT = st.one_of(
+    st.sampled_from(["3", "0", "-1", "+3", "03", "\u0663", "\uff13", "2.5", "1e3", "true", "null"]),
+    st.sampled_from(["f1", "recall", "auc", "fpr", "F1", '"f1"', "f1 ", ""]),
+    st.text(max_size=4),
+)
+
+
+@given(flag=st.sampled_from(["--smote-k", "--threshold-objective"]), text=OPTION_TEXT)
 @FUZZ
-def test_pipeline_config(work, data):
-    config = work / "run.cfg"
-    config.write_bytes(data)
-    argv = ["pipeline", str(work / "few.csv"), "--config", str(config), "--out", str(work / "p")]
+def test_pipeline_settings(work, flag, text):
+    argv = ["pipeline", str(work / "few.csv"), flag, text, "--out", str(work / "p")]
     assert_not_a_defect(argv)
 
 
@@ -224,22 +221,18 @@ LONG_PREDICTION = f"{','.join(PREDICTIONS_HEADER)}\na,1,s0,0,0.2\na,1,{BIG_FIELD
         (["rank"], None, "Is a directory"),
         (["evaluate"], None, "Is a directory"),
         (["rank"], matrix_text("\xe9").encode("latin-1"), ": not UTF-8 text"),
-        (["pipeline", "FEATURES", "--config"], b"smote_k = 3\xff\n", ": not UTF-8 text"),
     ],
-    ids=["long_field_rank", "long_field_evaluate", "dir_rank", "dir_evaluate", "latin1_rank", "latin1_config"],
+    ids=["long_field_rank", "long_field_evaluate", "dir_rank", "dir_evaluate", "latin1_rank"],
 )
 def test_unreadable_input_names_its_file(tmp_path, capsys, argv, content, where):
-    """The first four ended in exit 1 with a traceback; the last two in exit
-    2 with a message that named no file. `content` None makes the input a
+    """The first four ended in exit 1 with a traceback; the last in exit 2
+    with a message that named no file. `content` None makes the input a
     directory."""
     path = tmp_path / "input"
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content)
-    features = tmp_path / "features.csv"
-    make_features_csv(features, n_pos=2, n_neg=2)
-    argv = [str(features) if a == "FEATURES" else a for a in argv]
     assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and where in err

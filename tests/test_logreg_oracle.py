@@ -186,6 +186,16 @@ def test_iteration_cap_reported_not_raised(monkeypatch):
     assert (model.converged, model.n_iter) == (False, 1)
 
 
+def test_no_descent_reported_not_raised(monkeypatch):
+    # an Armijo fraction no step can meet: every halving fails, and the fit
+    # stops at its start
+    monkeypatch.setattr(learn, "_ARMIJO", 1e6)
+    train, _, _ = overlapping()
+    model = train_logreg(train.features, train.labels, l2_strength=0.01)
+    assert (model.converged, model.n_iter) == (False, 1)
+    assert not model.weights.any()
+
+
 @pytest.mark.parametrize("l2", [0.0, -1.0])
 def test_non_positive_penalty_rejected(l2):
     train, _, _ = separable()
