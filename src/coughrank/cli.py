@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # Task pools, not BLAS, take the CPUs: BLAS threads only contend on calls of at
@@ -48,16 +48,24 @@ IN_REPO_MODELS = tuple(MODEL_GRIDS)
 STRATEGIES = (1, 2, 3)
 
 def _int_in(low, high=None):
-    """argparse type: a decimal integer in low .. high (no upper bound if None)."""
+    """argparse type: ASCII digits of an integer in low .. high (no upper bound if None)."""
     wanted = f"an integer >= {low}" if high is None else f"an integer in {low} .. {high}"
 
     def parse(text):
-        value = int(text) if text.isdecimal() else None
+        value = int(text) if text.isascii() and text.isdecimal() else None
         if value is None or value < low or (high is not None and value > high):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
     return parse
+
+
+def _fraction(text):
+    """argparse type: ASCII text of a number strictly between 0 and 1."""
+    with suppress(ValueError):
+        if text.isascii() and 0.0 < float(text) < 1.0:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
 
 
 def _sha256(path):
@@ -188,8 +196,6 @@ def _write_matrices(out_dir, sourced_sets, criteria):
 
 
 def cmd_evaluate(args):
-    if not 0.0 < args.threshold < 1.0:
-        raise InputError("--threshold must lie in (0, 1)")
     out_dir = _OutDir(args.out)
     criteria = (
         tables.read_criteria(args.criteria) if args.criteria else list(DEFAULT_CRITERIA)
@@ -383,7 +389,7 @@ def build_parser():
     source.add_argument("predictions", nargs="?", help="predictions.csv")
     source.add_argument("--matrix", help="validate an existing decision_matrix.csv instead")
     p.add_argument("--criteria", help="criteria.csv (default: the standard 8)")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_fraction, default=0.5)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

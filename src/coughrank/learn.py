@@ -30,12 +30,13 @@ MODEL_DEFAULTS = {
 # float64).
 _KNN_BLOCK_BYTES = 2**18
 # Newton's method for logistic regression: the iteration cap, the
-# relative gradient tolerance, the Armijo fraction and how often one
-# step may be halved.
+# relative gradient tolerance, the Armijo fraction, how often one
+# step may be halved, and the right-hand-side columns of each solve.
 LOGREG_MAX_ITER = 50
 LOGREG_TOL = 1e-6
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
+_RHS_COLUMNS = 4
 
 
 @dataclass
@@ -328,6 +329,7 @@ def train_logreg(X, y, l2_strength=1.0, init=None):
     w = np.zeros(Xa.shape[1]) if init is None else np.array(init, dtype=np.float64)
     loss, grad = logistic_objective(w, X, y, l2_strength)
     B = np.empty_like(Xa)
+    rhs = np.zeros((Xa.shape[1], _RHS_COLUMNS))
     converged = False
     for it in range(1, LOGREG_MAX_ITER + 1):
         # sqrt(p(1-p)) as r/(1+r^2) with r = exp(-|z|/2), which keeps its
@@ -336,7 +338,10 @@ def train_logreg(X, y, l2_strength=1.0, init=None):
         np.multiply(Xa, (r / (1.0 + r * r))[:, None], out=B)
         hessian = B.T @ B
         hessian.reshape(-1)[: -1 : Xa.shape[1] + 1] += l2_strength  # weights' diagonal
-        step = np.linalg.solve(hessian, grad)
+        # the gradient beside zero columns: a one-column solve does not scale
+        # over the fold pool's threads, a solve of a few columns does
+        rhs[:, 0] = grad
+        step = np.linalg.solve(hessian, rhs)[:, 0]
         slope = grad @ step
         for halvings in range(_MAX_HALVINGS):
             t = 0.5**halvings

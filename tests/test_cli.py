@@ -371,14 +371,19 @@ class TestEvaluate:
     def test_threshold_out_of_range_names_flag_not_group(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
         make_external_csv(preds, [f"s{i}" for i in range(10)], np.array([0, 1] * 5))
-        code = main(
-            ["evaluate", str(preds), "--threshold", "1.5", "--out", str(tmp_path / "o")]
-        )
-        assert code == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "--threshold must lie in (0, 1)" in err
-        assert "model" not in err and str(preds) not in err
-        assert not (tmp_path / "o").exists()
+        for text in ["1.5", "0", "1", "nan", "x", "-0.5", "inf", "\u0660.\u0665"]:
+            with pytest.raises(SystemExit) as exc:
+                main(["evaluate", str(preds), "--threshold", text, "--out", str(tmp_path / "o")])
+            assert exc.value.code == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"argument --threshold: must be a number in (0, 1), got {text!r}" in err
+            assert "model" not in err and str(preds) not in err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["0.25", ".25", "2.5e-1", " 0.25 "])
+    def test_threshold_in_range_accepted(self, text):
+        args = cli.build_parser().parse_args(["evaluate", "p.csv", "--threshold", text, "--out", "o"])
+        assert args.threshold == 0.25
 
     def test_label_outside_int64_names_line(self, tmp_path, capsys):
         preds = tmp_path / "predictions.csv"
@@ -694,6 +699,7 @@ class TestPipeline:
             ("--smote-k", "0", "must be an integer >= 1, got '0'"),
             ("--smote-k", "true", "must be an integer >= 1, got 'true'"),
             ("--smote-k", "2.5", "must be an integer >= 1, got '2.5'"),
+            ("--smote-k", "\u0663", "must be an integer >= 1, got '\u0663'"),
             ("--threshold-objective", "fpr", "invalid choice: 'fpr'"),
             ("--threshold-objective", "fnr", "invalid choice: 'fnr'"),
             ("--threshold-objective", "auc", "invalid choice: 'auc'"),
@@ -704,6 +710,7 @@ class TestPipeline:
             "smote_k_zero",
             "smote_k_bool",
             "smote_k_float",
+            "smote_k_arabic_indic",
             "cost_objective_fpr",
             "cost_objective_fnr",
             "cutoff_free_objective_auc",
@@ -997,7 +1004,9 @@ def test_too_few_class_members_rejected_before_training(
     assert not (out / "predictions.csv").exists()
 
 
-@pytest.mark.parametrize("seed", ["1.5", "-1", '"7"'], ids=["float", "negative", "string"])
+@pytest.mark.parametrize(
+    "seed", ["1.5", "-1", '"7"', "\uff14\uff12"], ids=["float", "negative", "string", "fullwidth"]
+)
 @pytest.mark.parametrize("command", ["pipeline", "rfecv"])
 def test_bad_seed_rejected_before_reading(tmp_path, capsys, monkeypatch, command, seed):
     def no_reading(*args, **kwargs):
@@ -1016,8 +1025,11 @@ RFECV_RANGES = {"--folds": "an integer >= 2", "--step": "an integer in 1 .. 192"
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--folds", "1"), ("--folds", "-3"), ("--step", "0"), ("--step", "193")],
-    ids=["folds_1", "folds_-3", "step_0", "step_193"],
+    [
+        ("--folds", "1"), ("--folds", "-3"), ("--step", "0"), ("--step", "193"),
+        ("--folds", "\u0665"), ("--step", "4\u0968"),
+    ],
+    ids=["folds_1", "folds_-3", "step_0", "step_193", "folds_arabic_indic", "step_devanagari"],
 )
 def test_bad_rfecv_option_rejected_before_reading(tmp_path, capsys, monkeypatch, flag, value):
     def no_reading(*args, **kwargs):

@@ -178,6 +178,41 @@ def test_pipeline_settings(work, flag, text):
     assert_not_a_defect(argv)
 
 
+# digits of other scripts (Arabic-Indic, full-width, Devanagari, ...), alone or
+# after an ASCII digit: an integer option takes ASCII digits only
+NON_ASCII_DIGITS = st.tuples(
+    st.sampled_from(["", "4"]), st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3)
+).map("".join).filter(lambda text: not text.isascii())
+# text that is no number strictly between 0 and 1: the bounds, numbers beyond them,
+# non-numbers, and fractions written with non-ASCII digits
+THRESHOLD_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "nan", "inf", "-inf", "1e999", "0x1p-1", "", "0,5", "1/2", "x"]),
+    st.floats().filter(lambda value: not 0.0 < value < 1.0).map(repr),
+    NON_ASCII_DIGITS.map(lambda digits: "0." + digits),
+    st.text(st.characters(categories=["L"]), max_size=4),
+)
+INTEGER_FLAGS = [
+    ("pipeline", "--smote-k"), ("pipeline", "--seed"),
+    ("rfecv", "--seed"), ("rfecv", "--folds"), ("rfecv", "--step"),
+]
+
+
+@given(
+    option=st.one_of(
+        st.tuples(st.sampled_from(INTEGER_FLAGS), NON_ASCII_DIGITS),
+        st.tuples(st.just(("evaluate", "--threshold")), THRESHOLD_TEXT),
+    )
+)
+@FUZZ
+def test_bad_option_text_exits_2_before_output(work, option):
+    (command, flag), text = option
+    out = work / "bad_option_out"
+    code, err = run([command, str(work / "few.csv"), flag, text, "--out", str(out)])
+    assert code == EXIT_INPUT, err
+    assert f"argument {flag}" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
 @given(
     edits=st.one_of(st.just([]), EDITS),
     field=st.tuples(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coughrank.learn as learn
+from coughrank import InputError
 from coughrank.learn import (
     Dataset,
     StrategyConfig,
@@ -10,6 +11,7 @@ from coughrank.learn import (
     predict_knn,
     predict_logreg,
     rfecv,
+    run_strategies,
     run_strategy,
     smote,
     stratified_kfold,
@@ -261,6 +263,38 @@ class TestRunStrategy:
         ds = cluster_dataset(20, 20)
         with pytest.raises(ValueError):
             run_strategy(ds, "mystery", StrategyConfig.standard(1))
+
+    @pytest.mark.parametrize(
+        "search, cells",
+        [("_grid_search", [("knn", 1), ("logreg", 3)]), ("_knn_scores", [("logreg", 1), ("knn", 2)])],
+        ids=["grid_search", "knn_search"],
+    )
+    @pytest.mark.parametrize("search_fails", [True, False])
+    def test_later_search_error_wins_over_earlier_objective(
+        self, monkeypatch, search, cells, search_fails
+    ):
+        """Every cell's search runs before any threshold choice, so a later
+        cell's search ValueError (exit 1) beats the first cell's undefined
+        objective (InputError, exit 2); without it the InputError stands."""
+        ds = cluster_dataset(20, 30, seed=16)
+        cells = [(model, StrategyConfig.standard(s)) for model, s in cells]
+
+        def undefined(*args, **kwargs):
+            raise ValueError("objective undefined at every cutoff")
+
+        def failed(*args, **kwargs):
+            raise ValueError("search failed")
+
+        monkeypatch.setattr(learn, "threshold_sweep", undefined)
+        if search_fails:
+            monkeypatch.setattr(learn, search, failed)
+        with pytest.raises(ValueError) as exc:
+            run_strategies(ds, cells)
+        if search_fails:
+            assert type(exc.value) is ValueError and str(exc.value) == "search failed"
+        else:
+            assert isinstance(exc.value, InputError)
+            assert f"model {cells[0][0]!r} in strategy {cells[0][1].id}" in str(exc.value)
 
 
 class TestRfecv:

@@ -16,6 +16,14 @@ The warm start is held to the cold fit: started from a neighbouring
 penalty's weights, a fit must converge, pass the stop test and reach the
 cold fit's penalized loss to 1e-9 relative, and the strategy-3 grid
 search must keep its iteration saving and its choice.
+
+`one_column_oracle` is the former body of `train_logreg`, whose Newton
+step solved the Hessian system for the gradient alone. The step now
+solves for the gradient and zero columns at once, which is not bitwise
+the one-column step. On the fits of a strategy-3 grid search each fit's
+weights must stay within 1e-12 of the oracle's, relative to the largest
+weight, with the same iteration count and convergence flag; and `rfecv`
+must choose the same mask and draw the same curve with either step.
 """
 
 import numpy as np
@@ -76,6 +84,40 @@ def gradient_descent_oracle(train, l2_strength=1.0, max_iter=500, tol=1e-6):
             converged = True
             break
     return LogregModel(weights=w, scaler=scaler, converged=converged, n_iter=it)
+
+
+def one_column_oracle(X, y, l2_strength=1.0, init=None):
+    """`train_logreg` with each Newton step from `np.linalg.solve(hessian, grad)`."""
+    if not l2_strength > 0:
+        raise ValueError("l2_strength must be positive")
+    if len(np.unique(y)) < 2:
+        raise ValueError("both classes required to fit logistic regression")
+    design = X if isinstance(X, _Design) else _Design(X)
+    X, Xa = design.X, design.Xa
+    w = np.zeros(Xa.shape[1]) if init is None else np.array(init, dtype=np.float64)
+    loss, grad = logistic_objective(w, X, y, l2_strength)
+    B = np.empty_like(Xa)
+    converged = False
+    for it in range(1, learn.LOGREG_MAX_ITER + 1):
+        r = np.exp(-0.5 * np.abs(Xa @ w))
+        np.multiply(Xa, (r / (1.0 + r * r))[:, None], out=B)
+        hessian = B.T @ B
+        hessian.reshape(-1)[: -1 : Xa.shape[1] + 1] += l2_strength
+        step = np.linalg.solve(hessian, grad)
+        slope = grad @ step
+        for halvings in range(learn._MAX_HALVINGS):
+            t = 0.5**halvings
+            trial = w - t * step
+            trial_loss, trial_grad = logistic_objective(trial, X, y, l2_strength)
+            if trial_loss <= loss - learn._ARMIJO * t * slope:
+                break
+        else:
+            break
+        w, loss, grad = trial, trial_loss, trial_grad
+        if np.linalg.norm(grad) < LOGREG_TOL * max(1.0, abs(loss)):
+            converged = True
+            break
+    return LogregModel(weights=w, scaler=design.scaler, converged=converged, n_iter=it)
 
 
 def smote_fold(seed=3):
@@ -270,3 +312,42 @@ def test_warm_grid_search_iterations(monkeypatch):
     assert len(fits) == 20 and all(model.converged for model in fits)
     assert sum(model.n_iter for model in fits) <= 110
     assert params == grid_search_oracle("logreg", grid, train, 7)
+
+
+def weight_drift(got, want):
+    """The largest weight difference relative to the largest weight."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_multi_column_step_matches_one_column_oracle(seed, monkeypatch):
+    train, _, _ = smote_fold(seed)
+    pairs = []
+    fit = learn.train_logreg
+
+    def both(*args, **kwargs):
+        pairs.append((fit(*args, **kwargs), one_column_oracle(*args, **kwargs)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(learn, "train_logreg", both)
+    _grid_search("logreg", MODEL_GRIDS["logreg"], train.features, train.labels, seed)
+    assert len(pairs) == 20
+    for got, want in pairs:
+        assert weight_drift(got.weights, want.weights) <= 1e-12
+        assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+
+
+@pytest.mark.parametrize("set_name", ["clusters", "smote_fold_40"])
+def test_rfecv_with_one_column_oracle(set_name, monkeypatch):
+    if set_name == "clusters":
+        ds = cluster_dataset(17, 28, n_features=11, gap=0.6, seed=12)
+    else:
+        train, _, _ = smote_fold(4)
+        ds = Dataset(train.features[:, :40], train.labels, train.sample_ids)
+    mask, curve = learn.rfecv(ds, step=1, seed=5)
+    monkeypatch.setattr(learn, "train_logreg", one_column_oracle)
+    want_mask, want_curve = learn.rfecv(ds, step=1, seed=5)
+    assert np.array_equal(mask, want_mask)
+    assert [(size, auc.hex()) for size, auc in curve] == [
+        (size, auc.hex()) for size, auc in want_curve
+    ]
